@@ -1,22 +1,24 @@
-"""Reference vs. compact cleaning engine: single-object speedup.
+"""Reference oracle vs. ``build_ct_graph``: single-object speedup.
 
-The compact engine (:mod:`repro.core.engine`) must be *bit-identical* to
-the reference builder — this bench both asserts that (flat-form graph
-equality, stats counters included) and records how much faster it is on
-the long-duration periodic workloads of ``bench_scaling``:
+``build_ct_graph`` (interned states, memoised transitions, columnar
+sweep — :mod:`repro.core.engine`) must be *bit-identical* to the
+reference builder that ``tests/reference_builder.py`` keeps as the test
+oracle — this bench both asserts that (flat-form graph equality, stats
+counters included) and records how much faster it is on the
+long-duration periodic workloads of ``bench_scaling``:
 
-* **reference** — ``CleaningOptions(engine="reference")``, the printed
-  Algorithm 1 over :class:`~repro.core.ctgraph.CTNode` objects;
-* **compact (cold)** — ``engine="compact"`` with a fresh transition
-  cache per build, the single-object cost a CLI ``clean`` pays;
-* **compact (warm)** — ``engine="compact"`` through one shared
+* **reference** — ``build_ct_graph_reference``, the printed Algorithm 1
+  over :class:`~repro.core.ctgraph.CTNode` objects;
+* **compact (cold)** — the default ``build_ct_graph(ls, cs)`` call, timed
+  end to end with a fresh transition cache per build: the single-object
+  cost a CLI ``clean`` pays;
+* **compact (warm)** — the same call through one shared
   :class:`~repro.runtime.plan.SharedCleaningPlan`, the steady-state cost
   a ``clean_many`` worker pays after the first object of a batch.
 
-Each duration also validates the C010 routing advice: the engine the
-static advisor (:func:`repro.analysis.advisor.advise`) picks must never
-be more than ``ROUTING_SLACK``× slower than the best of the measured
-engines — recorded per entry as ``routing_ok`` and gated by ``--check``.
+Each duration gates the default call: it must never be more than
+``ROUTING_SLACK``× slower than the oracle — recorded per entry as
+``default_ok`` and gated by ``--check``.
 
 Since schema v3 the sweep carries a **backend axis** (``--backend``, the
 flat-materialised build re-timed under ``CleaningOptions(backend=...)``)
@@ -52,9 +54,9 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.advisor import advise
 from repro.core import kernels
 from repro.core.algorithm import BACKENDS, CleaningOptions, build_ct_graph
 from repro.core.constraints import (
@@ -66,12 +68,16 @@ from repro.core.constraints import (
 from repro.core.lsequence import LSequence
 from repro.runtime.plan import SharedCleaningPlan
 
-SCHEMA_VERSION = 3
+# The reference leg is the test oracle, which lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.reference_builder import build_ct_graph_reference  # noqa: E402
 
-#: How much slower than the best measured engine the statically advised
-#: one may be before ``routing_ok`` flips false.  Generous enough to
-#: absorb timing noise near the crossover, tight enough to catch the
-#: advisor picking the wrong engine on a workload where it matters.
+SCHEMA_VERSION = 4
+
+#: How much slower than the oracle the default call may be before
+#: ``default_ok`` flips false.  Generous enough to absorb timing noise
+#: on short objects, tight enough to catch a default path that loses to
+#: the direct transcription.
 ROUTING_SLACK = 1.3
 
 #: The ``bench_scaling`` workload: DU + LT + TT all bind, and the TT
@@ -161,10 +167,8 @@ def _timed_builds(repeats: int, build):
 def run_kernel(duration: int, repeats: int) -> Dict[str, object]:
     """The kernel block: python vs numpy flat builds of the wide workload."""
     lsequence, constraints = make_wide_instance(duration)
-    python_options = CleaningOptions(engine="compact", materialize="flat",
-                                     backend="python")
-    numpy_options = CleaningOptions(engine="compact", materialize="flat",
-                                    backend="numpy")
+    python_options = CleaningOptions(materialize="flat", backend="python")
+    numpy_options = CleaningOptions(materialize="flat", backend="numpy")
     python_build, python_sweep, oracle = _timed_builds(
         repeats, lambda: build_ct_graph(lsequence, constraints,
                                         python_options))
@@ -204,61 +208,49 @@ def run_kernel(duration: int, repeats: int) -> Dict[str, object]:
 
 def run(durations: Sequence[int], repeats: int, backend: str,
         kernel_duration: int, kernel_repeats: int) -> Dict[str, object]:
-    reference_options = CleaningOptions(engine="reference")
-    compact_options = CleaningOptions(engine="compact")
-    flat_options = CleaningOptions(engine="compact", materialize="flat",
-                                   backend=backend)
+    flat_options = CleaningOptions(materialize="flat", backend=backend)
     results: List[Dict[str, object]] = []
     all_identical = True
-    all_routing_ok = True
+    all_default_ok = True
     for duration in durations:
         lsequence = make_instance(duration)
 
-        reference_graph = build_ct_graph(lsequence, CONSTRAINTS,
-                                         reference_options)
-        compact_graph = build_ct_graph(lsequence, CONSTRAINTS,
-                                       compact_options)
+        def reference():
+            return build_ct_graph_reference(lsequence, CONSTRAINTS)
+
+        def default():
+            return build_ct_graph(lsequence, CONSTRAINTS)
+
+        reference_graph = reference()
+        compact_graph = default()
         flat_graph = build_ct_graph(lsequence, CONSTRAINTS, flat_options)
         identical = (_flat(reference_graph) == _flat(compact_graph)
                      and reference_graph.stats == compact_graph.stats
                      and flat_graph == compact_graph.to_flat())
         all_identical = all_identical and identical
 
-        reference_seconds = _best_of(
-            repeats, lambda: build_ct_graph(lsequence, CONSTRAINTS,
-                                            reference_options))
-        compact_seconds = _best_of(
-            repeats, lambda: build_ct_graph(lsequence, CONSTRAINTS,
-                                            compact_options))
+        reference_seconds = _best_of(repeats, reference)
+        compact_seconds = _best_of(repeats, default)
+        default_ok = compact_seconds <= ROUTING_SLACK * reference_seconds
+        if not default_ok:
+            # A low-repeat run on a loaded machine can spike one side's
+            # best-of; re-time both harder before failing the gate
+            # (best-of only improves with more samples).
+            reference_seconds = min(reference_seconds,
+                                    _best_of(max(repeats * 3, 5), reference))
+            compact_seconds = min(compact_seconds,
+                                  _best_of(max(repeats * 3, 5), default))
+            default_ok = (compact_seconds
+                          <= ROUTING_SLACK * reference_seconds)
+        all_default_ok = all_default_ok and default_ok
         plan = SharedCleaningPlan(CONSTRAINTS)
-        build_ct_graph(lsequence, CONSTRAINTS, compact_options, plan=plan)
+        build_ct_graph(lsequence, CONSTRAINTS, plan=plan)
         warm_seconds = _best_of(
             repeats, lambda: build_ct_graph(lsequence, CONSTRAINTS,
-                                            compact_options, plan=plan))
+                                            plan=plan))
         flat_seconds = _best_of(
             repeats, lambda: build_ct_graph(lsequence, CONSTRAINTS,
                                             flat_options))
-
-        advice = advise(lsequence, CONSTRAINTS)
-        timed = {"reference": reference_seconds,
-                 "compact": compact_seconds}
-        routing_ok = timed[advice.engine] <= ROUTING_SLACK * min(timed.values())
-        if not routing_ok:
-            # A low-repeat run on a loaded machine can spike one engine's
-            # best-of; re-time both sides harder before calling the advice
-            # wrong (best-of only improves with more samples).
-            for engine, options in (("reference", reference_options),
-                                    ("compact", compact_options)):
-                timed[engine] = min(timed[engine], _best_of(
-                    max(repeats * 3, 5),
-                    lambda: build_ct_graph(lsequence, CONSTRAINTS, options)))
-            routing_ok = (timed[advice.engine]
-                          <= ROUTING_SLACK * min(timed.values()))
-        advised_seconds = timed[advice.engine]
-        best_seconds = min(timed.values())
-        all_routing_ok = all_routing_ok and routing_ok
-        reference_seconds = timed["reference"]
-        compact_seconds = timed["compact"]
 
         stats = compact_graph.stats
         results.append({
@@ -276,11 +268,7 @@ def run(durations: Sequence[int], repeats: int, backend: str,
             "forward_seconds": stats.forward_seconds,
             "backward_seconds": stats.backward_seconds,
             "identical_output": identical,
-            "advised_engine": advice.engine,
-            "advised_states": advice.predicted_states,
-            "advised_seconds": advised_seconds,
-            "best_seconds": best_seconds,
-            "routing_ok": routing_ok,
+            "default_ok": default_ok,
         })
 
     kernel = run_kernel(kernel_duration, kernel_repeats)
@@ -307,7 +295,7 @@ def run(durations: Sequence[int], repeats: int, backend: str,
         # wide workload (None when numpy is unavailable).
         "kernel_speedup": kernel["kernel_speedup"],
         "identical_output": all_identical,
-        "routing_ok": all_routing_ok,
+        "default_ok": all_default_ok,
         "kernel": kernel,
         "results": results,
     }
@@ -341,7 +329,7 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
     expect(payload.get("backend") in BACKENDS,
            f"backend must be one of {BACKENDS}")
     expect(payload.get("identical_output") is True,
-           "identical_output must be true — the compact engine diverged "
+           "identical_output must be true — build_ct_graph diverged "
            "from the reference builder")
     kernel = payload.get("kernel")
     if not isinstance(kernel, dict):
@@ -382,9 +370,9 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
             expect(payload.get("kernel_speedup") is None,
                    "kernel_speedup must be null when the kernel block "
                    "was not measured")
-    expect(payload.get("routing_ok") is True,
-           "routing_ok must be true — the C010 advisor picked an engine "
-           f"more than {ROUTING_SLACK}x slower than the best one")
+    expect(payload.get("default_ok") is True,
+           "default_ok must be true — the default build_ct_graph call "
+           f"was more than {ROUTING_SLACK}x slower than the oracle")
     results = payload.get("results")
     if isinstance(results, list) and results:
         if isinstance(workload, dict):
@@ -404,15 +392,7 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
                     and entry["flat_seconds"] > 0.0
                     and entry.get("backend") in ("python", "numpy")
                     and entry.get("identical_output") is True
-                    and entry.get("advised_engine") in ("reference",
-                                                        "compact")
-                    and isinstance(entry.get("advised_states"), int)
-                    and entry["advised_states"] > 0
-                    and isinstance(entry.get("advised_seconds"), float)
-                    and entry["advised_seconds"] > 0.0
-                    and isinstance(entry.get("best_seconds"), float)
-                    and entry["best_seconds"] > 0.0
-                    and entry.get("routing_ok") is True):
+                    and entry.get("default_ok") is True):
                 problems.append(f"malformed results entry: {entry!r}")
                 break
     else:
@@ -425,7 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--durations", type=int, nargs="+",
                         default=list(DURATIONS))
     parser.add_argument("--repeats", type=int, default=7,
-                        help="best-of-N timing repeats per engine")
+                        help="best-of-N timing repeats per build")
     parser.add_argument("--backend", choices=BACKENDS, default="auto",
                         help="sweep backend for the flat-build axis "
                              "(the kernel block always compares python "
@@ -484,8 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"warm {entry['compact_warm_seconds'] * 1000:7.1f} ms "
               f"({entry['warm_speedup']:.2f}x)  "
               f"flat[{entry['backend']}] "
-              f"{entry['flat_seconds'] * 1000:7.1f} ms  "
-              f"advised {entry['advised_engine']}")
+              f"{entry['flat_seconds'] * 1000:7.1f} ms")
     kernel = payload["kernel"]
     if kernel["measured"]:
         print(f"kernel ({kernel['width']} locations x "
@@ -501,7 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("kernel: numpy unavailable, block not measured")
     print(f"headline: {payload['speedup']:.2f}x cold / "
           f"{payload['warm_speedup']:.2f}x warm, identical output, "
-          f"routing ok")
+          f"default call ok")
     print(f"wrote {args.out}")
     return 0
 

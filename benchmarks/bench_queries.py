@@ -9,15 +9,15 @@ clean one long periodic l-sequence, then ask eleven questions of it
 (marginals, entropy, visit/first-visit/span, a pattern match, the MAP
 trajectory and the top-10 trajectories).
 
-* **node path** — ``CleaningOptions(engine="compact")`` materialising
+* **node path** — the default ``build_ct_graph`` call materialising
   ``CTNode`` objects, each statement answered by the object-path
   query functions (``repro.queries.ql.execute`` on the ``CTGraph``);
 * **flat path** — the same cleaning with ``materialize="flat"`` (no
   ``CTNode`` is ever built), all statements answered through one shared
   :class:`~repro.queries.session.QuerySession`.
 
-Both sides use the compact cleaning engine, so the measured gap is the
-query layer + materialisation, not the engine (``bench_engine`` covers
+Both sides run the same Algorithm 1 build, so the measured gap is the
+query layer + materialisation, not the build (``bench_engine`` covers
 that).  Also records ``estimate_size_bytes()`` for both forms.
 
 Since schema v3 the sweep carries a **backend axis** (``--backend``, the
@@ -143,8 +143,7 @@ def statements(duration: int) -> List[str]:
 def _node_pipeline(lsequence: LSequence,
                    session_statements: Sequence[str]) -> Tuple[list, int]:
     """Clean to ``CTNode`` form, answer via object-path functions."""
-    graph = build_ct_graph(lsequence, CONSTRAINTS,
-                           CleaningOptions(engine="compact"))
+    graph = build_ct_graph(lsequence, CONSTRAINTS)
     results = [ql.execute(graph, statement)
                for statement in session_statements]
     return results, graph.estimate_size_bytes()
@@ -155,8 +154,7 @@ def _flat_pipeline(lsequence: LSequence,
                    backend: str) -> Tuple[list, int]:
     """Clean straight to flat form, answer via one ``QuerySession``."""
     graph = build_ct_graph(lsequence, CONSTRAINTS,
-                           CleaningOptions(engine="compact",
-                                           materialize="flat",
+                           CleaningOptions(materialize="flat",
                                            backend=backend))
     session = QuerySession(graph, backend=backend)
     results = [ql.execute(session, statement)
@@ -232,8 +230,7 @@ def run_kernel(duration: int, repeats: int) -> Dict[str, object]:
     lsequence, constraints, names = make_wide_instance(duration)
     graph = build_ct_graph(
         lsequence, constraints,
-        CleaningOptions(engine="compact", materialize="flat",
-                        backend="auto"))
+        CleaningOptions(materialize="flat", backend="auto"))
     levels = max(1, duration - 1)
     block: Dict[str, object] = {
         "measured": False,

@@ -4,7 +4,7 @@ Three claims about the ``.ctg`` format (``repro.store``) are measured
 and — in a full run — gated, on the wide kernel workload the other
 benches share (96 locations per level, thousands of edges per level):
 
-* **write** — the compact engine's direct store sink
+* **write** — ``build_ct_graph``'s direct store sink
   (``CleaningOptions(output=...)``: the backward sweep's ndarrays are
   written straight into the ``.ctg`` layout) must beat the conventional
   persistence pipeline end-to-end (engine → flat tuple materialisation
@@ -114,8 +114,7 @@ def run(duration: int, repeats: int, backend: str,
         def pickle_pipeline():
             graph = build_ct_graph(
                 lsequence, constraints,
-                CleaningOptions(engine="compact", materialize="flat",
-                                backend=backend))
+                CleaningOptions(materialize="flat", backend=backend))
             with open(pickle_path, "wb") as handle:
                 pickle.dump(graph, handle,
                             protocol=pickle.HIGHEST_PROTOCOL)
@@ -124,8 +123,7 @@ def run(duration: int, repeats: int, backend: str,
         def store_pipeline():
             view = build_ct_graph(
                 lsequence, constraints,
-                CleaningOptions(engine="compact", backend=backend,
-                                output=ctg_path))
+                CleaningOptions(backend=backend, output=ctg_path))
             view.close()
 
         flat = pickle_pipeline()

@@ -16,20 +16,12 @@ C001
 
 Three layers expose it: this API (:func:`analyze`), the ``rfid-ctg
 analyze`` CLI subcommand (``--strict`` exits 1 on ERROR, ``--advise``
-adds C010's routing verdict), and the opt-in ``precheck`` option of
-:class:`repro.core.algorithm.CleaningOptions`.  The abstract-
-interpretation layer (:mod:`repro.analysis.envelope`) additionally powers
-the ``engine="auto"`` routing of :func:`repro.core.algorithm.\
-build_ct_graph` via :func:`repro.analysis.advisor.recommend_options`.
+adds C010's size, materialisation and backend advice), and the opt-in
+``precheck`` option of :class:`repro.core.algorithm.CleaningOptions`.
 ``docs/analysis.md`` documents every rule code.
 """
 
-from repro.analysis.advisor import (
-    AUTO_COMPACT_MIN_STATES,
-    EngineAdvice,
-    advise,
-    recommend_options,
-)
+from repro.analysis.advisor import EngineAdvice, advise, recommend_options
 from repro.analysis.analyzer import RULES, ZERO_MASS_RULE, RuleSpec, analyze
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.analysis.envelope import (
@@ -47,7 +39,6 @@ __all__ = [
     "AbstractState",
     "AnalysisContext",
     "AnalysisReport",
-    "AUTO_COMPACT_MIN_STATES",
     "ConstraintEnvelope",
     "DepartureInterval",
     "Diagnostic",

@@ -1,19 +1,14 @@
-"""Static engine/materialisation routing advice (rule C010).
+"""Static size, materialisation and backend advice (rule C010).
 
-``CleaningOptions(engine="auto")`` historically routed on a hard-coded
-duration threshold (``AUTO_COMPACT_MIN_DURATION``).  Duration is a crude
-proxy: what actually decides whether the compact engine's memoised
-transition rows pay for their fixed cost is the *number of node states*
-the forward pass will enumerate — which the constraint envelope bounds
-soundly before any cleaning happens.  :func:`advise` turns the envelope's
-width bound into an :class:`EngineAdvice`; :func:`recommend_options` is
-the hook ``build_ct_graph`` and ``SharedCleaningPlan`` consume to resolve
-``engine="auto"`` per object.
+:func:`advise` turns the constraint envelope's width and edge bounds into
+an :class:`EngineAdvice`: predicted node states, predicted bytes in each
+materialisation, and the materialisation and sweep backend those
+predictions favour — all before any cleaning happens.  ``rfid-ctg analyze
+--advise`` reports it as rule C010.
 
-Both engines are bit-exact (enforced by tests and the engine benchmark),
-so routing can never change cleaning output — only cost.  The state
-threshold below is calibrated on the engine benchmark workload so the
-crossover matches the empirical reference/compact break-even.
+The advice never feeds :func:`~repro.core.algorithm.build_ct_graph`:
+there is one Algorithm 1 build, and its ``backend="auto"`` resolves from
+the edge counts the forward phase actually measured.
 """
 
 from __future__ import annotations
@@ -32,22 +27,11 @@ from repro.core.constraints import ConstraintSet
 from repro.core.lsequence import LSequence
 
 __all__ = [
-    "AUTO_COMPACT_MIN_STATES",
     "FLAT_ADVICE_MIN_NODE_BYTES",
     "EngineAdvice",
     "advise",
     "recommend_options",
 ]
-
-#: Predicted node states at and above which the compact engine's memoised
-#: transitions beat the reference builder.  Calibrated on the engine
-#: benchmark workload (periodic 4-phase supports, TT A<->D, latency B),
-#: whose envelope predicts ~20 states per timestep: best-of-9 timings put
-#: the cold break-even near a bound of ~205 states (duration 12 there) —
-#: reference wins clearly below ~150, compact wins by >=1.3x from ~290 up.
-#: 200 splits that band and scales with actual width for narrower or
-#: wider instances, unlike the old duration-only heuristic.
-AUTO_COMPACT_MIN_STATES = 200
 
 #: Predicted node-form bytes above which materialising flat is advised.
 FLAT_ADVICE_MIN_NODE_BYTES = 4 << 20
@@ -55,10 +39,8 @@ FLAT_ADVICE_MIN_NODE_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class EngineAdvice:
-    """One routing verdict, with the predictions that justify it."""
+    """One advisory verdict, with the predictions that justify it."""
 
-    #: Concrete engine to run ("reference" or "compact").
-    engine: str
     #: Advised materialisation ("nodes" or "flat").
     materialize: str
     #: Advised sweep backend ("python" or "numpy"): numpy only when it is
@@ -89,7 +71,7 @@ class EngineAdvice:
 def advise(lsequence: LSequence, constraints: ConstraintSet, *,
            strict_truncation: bool = False,
            envelope: Optional[ConstraintEnvelope] = None) -> EngineAdvice:
-    """Static routing advice for one instance.
+    """Static size, materialisation and backend advice for one instance.
 
     Pass ``envelope`` to reuse an already-built
     :class:`~repro.analysis.envelope.ConstraintEnvelope` (e.g. from an
@@ -104,30 +86,23 @@ def advise(lsequence: LSequence, constraints: ConstraintSet, *,
     edges = envelope.edge_bounds()
     node_bytes, flat_bytes = estimate_graph_bytes(widths, edges)
     ctg_bytes = estimate_ctg_bytes(widths, edges)
-    # Backend advice mirrors QuerySession's measured-width resolution,
-    # but statically: the envelope's edge bounds predict the mean edges
-    # per edge level before anything is built.
+    # Backend advice mirrors the build's measured-width resolution, but
+    # statically: the envelope's edge bounds predict the mean edges per
+    # edge level before anything is built.
     mean_edges = sum(edges) / len(edges) if edges else 0.0
     backend = kernels.resolve_backend("auto", mean_edges)
-    if envelope.proves_zero_mass:
-        engine = "reference"
-        reason = ("the envelope empties at timestep "
-                  f"{envelope.first_empty_level}: any engine raises "
-                  "ZeroMassError before building anything")
-    elif total >= AUTO_COMPACT_MIN_STATES:
-        engine = "compact"
-        reason = (f"predicted <= {total} node states >= "
-                  f"{AUTO_COMPACT_MIN_STATES}: memoised transition rows "
-                  "amortise over the repeated supports")
-    else:
-        engine = "reference"
-        reason = (f"predicted <= {total} node states < "
-                  f"{AUTO_COMPACT_MIN_STATES}: the reference builder's "
-                  "lower fixed cost wins on small graphs")
     materialize = ("flat" if node_bytes >= FLAT_ADVICE_MIN_NODE_BYTES
                    else "nodes")
+    if envelope.proves_zero_mass:
+        reason = ("the envelope empties at timestep "
+                  f"{envelope.first_empty_level}: cleaning raises "
+                  "ZeroMassError before building anything")
+    else:
+        reason = (f"predicted <= {total} node states; the node form is "
+                  f"{'at or above' if materialize == 'flat' else 'below'} "
+                  f"the {FLAT_ADVICE_MIN_NODE_BYTES >> 20} MiB "
+                  "flat threshold")
     return EngineAdvice(
-        engine=engine,
         materialize=materialize,
         backend=backend,
         predicted_states=total,
@@ -145,24 +120,21 @@ def recommend_options(lsequence: LSequence, constraints: ConstraintSet,
                       base: Optional[CleaningOptions] = None, *,
                       envelope: Optional[ConstraintEnvelope] = None
                       ) -> CleaningOptions:
-    """Resolve ``engine="auto"``/``backend="auto"`` from the static envelope.
+    """Resolve ``backend="auto"`` from the static envelope.
 
-    Explicit choices are respected untouched, and the two fields resolve
-    independently — an explicit engine never blocks backend advice and
-    vice versa.  ``materialize`` stays consumption-driven (the batch
-    runtime already resolves it from whether graphs are kept); the advice
-    object's ``materialize``/byte fields remain available through
-    :func:`advise` for callers that want the memory verdict too.
+    An explicit backend is returned untouched.  ``materialize`` stays
+    consumption-driven (the batch runtime already resolves it from
+    whether graphs are kept); the advice object's ``materialize``/byte
+    fields remain available through :func:`advise` for callers that want
+    the memory verdict too.  :func:`~repro.core.algorithm.build_ct_graph`
+    does not call this: it resolves ``"auto"`` itself from measured edge
+    counts.
     """
     if base is None:
         base = CleaningOptions()
-    if base.engine != "auto" and base.backend != "auto":
+    if base.backend != "auto":
         return base
     advice = advise(lsequence, constraints,
                     strict_truncation=base.strict_truncation,
                     envelope=envelope)
-    return replace(
-        base,
-        engine=base.engine if base.engine != "auto" else advice.engine,
-        backend=(base.backend if base.backend != "auto"
-                 else advice.backend))
+    return replace(base, backend=advice.backend)

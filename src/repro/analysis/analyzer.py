@@ -19,6 +19,7 @@ from repro.analysis.envelope import ConstraintEnvelope
 from repro.analysis.reachability import ReachabilityIndex, location_universe
 from repro.analysis.rules import (
     AnalysisContext,
+    check_advice,
     check_blowup_estimate,
     check_contradictory_stays,
     check_dead_level_candidates,
@@ -26,7 +27,6 @@ from repro.analysis.rules import (
     check_dead_traveling_times,
     check_envelope_zero_mass,
     check_redundant_constraints,
-    check_routing_advice,
     check_width_envelope,
     check_zero_mass,
 )
@@ -75,8 +75,8 @@ RULES: Tuple[RuleSpec, ...] = (
              True, check_dead_level_candidates),
     RuleSpec("C009", "envelope zero-mass proof",
              True, check_envelope_zero_mass),
-    RuleSpec("C010", "engine/materialisation routing advice",
-             True, check_routing_advice, advisory=True),
+    RuleSpec("C010", "size, materialisation and backend advice",
+             True, check_advice, advisory=True),
 )
 
 
@@ -111,8 +111,8 @@ def analyze(constraints: ConstraintSet,
     pass ``readings`` as either a raw
     :class:`~repro.core.lsequence.ReadingSequence` (with ``prior``) or an
     already-interpreted :class:`~repro.core.lsequence.LSequence`.
-    ``advise=True`` additionally runs the advisory rules (C010's
-    engine/materialisation routing verdict).
+    ``advise=True`` additionally runs the advisory rules (C010's size,
+    materialisation and backend verdict).
 
     Diagnostics are emitted in rule-code order and are deterministic for a
     given input (rules iterate sorted views).

@@ -20,7 +20,7 @@ readings-specific and polynomial.
 | C007 | INFO     | abstract width envelope: tighter per-level node bound |
 | C008 | WARNING  | dead support candidates / forced single-location levels |
 | C009 | ERROR    | interval envelope empties a level: zero mass, proved early |
-| C010 | INFO     | engine/materialisation routing advice (``--advise``) |
+| C010 | INFO     | size, materialisation and backend advice (``--advise``) |
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "check_width_envelope",
     "check_dead_level_candidates",
     "check_envelope_zero_mass",
-    "check_routing_advice",
+    "check_advice",
     "ctgraph_size_bounds",
 ]
 
@@ -409,10 +409,10 @@ def check_envelope_zero_mass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# C010 — engine/materialisation routing advice (advisory, --advise)
+# C010 — size, materialisation and backend advice (advisory, --advise)
 # ----------------------------------------------------------------------
-def check_routing_advice(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Surface the static routing verdict of
+def check_advice(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+    """Surface the static verdict of
     :func:`repro.analysis.advisor.advise` as a diagnostic."""
     if ctx.lsequence is None or ctx.envelope is None:
         return
@@ -425,12 +425,13 @@ def check_routing_advice(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                     envelope=ctx.envelope)
     yield Diagnostic(
         "C010", Severity.INFO,
-        f"routing advice: engine={advice.engine}, "
-        f"materialize={advice.materialize} — {advice.reason} "
+        f"advice: materialize={advice.materialize}, "
+        f"backend={advice.backend} — {advice.reason} "
         f"(~{advice.predicted_node_bytes / 1024.0:.0f} KiB as nodes, "
         f"~{advice.predicted_flat_bytes / 1024.0:.0f} KiB flat, "
         f"~{advice.predicted_ctg_bytes / 1024.0:.0f} KiB as .ctg)",
-        data={"engine": advice.engine, "materialize": advice.materialize,
+        data={"materialize": advice.materialize,
+              "backend": advice.backend,
               "predicted_states": advice.predicted_states,
               "peak_level_width": advice.peak_level_width,
               "predicted_node_bytes": advice.predicted_node_bytes,

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.algorithm import (
     BACKENDS,
-    ENGINES,
     CleaningOptions,
     build_ct_graph,
 )
@@ -75,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of DU,LT,TT")
     clean.add_argument("--index", type=int, default=0,
                        help="which trajectory of the dataset to clean")
-    clean.add_argument("--engine", choices=ENGINES, default="auto",
-                       help="cleaning engine: auto picks the compact one "
-                            "for long objects (both are bit-identical)")
     clean.add_argument("--backend", choices=BACKENDS, default="python",
                        help="level-sweep backend: numpy vectorises the "
                             "backward sweep on flat builds, auto picks by "
@@ -87,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-phase timings")
     clean.add_argument("--output", default=None, metavar="PATH",
                        help="write the cleaned graph as a binary .ctg "
-                            "file (the engine streams its columns "
+                            "file (the build streams its columns "
                             "straight to disk and the reported graph is "
                             "an mmap-backed view of the file)")
 
@@ -105,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "auto)")
     clean_many_cmd.add_argument("--limit", type=int, default=None,
                                 help="clean only the first N trajectories")
-    clean_many_cmd.add_argument("--engine", choices=ENGINES, default="auto",
-                                help="cleaning engine used by the workers")
     clean_many_cmd.add_argument("--backend", choices=BACKENDS,
                                 default="python",
                                 help="level-sweep backend used by the "
@@ -141,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "paths cross the pipe")
     store_cmd.add_argument("--limit", type=int, default=None,
                            help="clean only the first N trajectories")
-    store_cmd.add_argument("--engine", choices=ENGINES, default="auto",
-                           help="cleaning engine used on cache misses")
     store_cmd.add_argument("--backend", choices=BACKENDS, default="python",
                            help="level-sweep backend used on cache misses")
     store_cmd.add_argument("--list", dest="list_only", action="store_true",
@@ -155,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--index", type=int, default=0)
     query.add_argument("--pattern", help="trajectory pattern, e.g. '? F0_R1[3] ?'")
     query.add_argument("--at", type=int, help="timestep for a stay query")
-    query.add_argument("--engine", choices=ENGINES, default="auto",
-                       help="cleaning engine feeding the query (results "
-                            "are bit-identical)")
     query.add_argument("--backend", choices=BACKENDS, default="python",
                        help="level-sweep backend for cleaning and for the "
                             "QuerySession sweeps (with --flat)")
@@ -206,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(ql)
     ql.add_argument("--constraints", default="DU,LT,TT")
     ql.add_argument("--index", type=int, default=0)
-    ql.add_argument("--engine", choices=ENGINES, default="auto",
-                    help="cleaning engine feeding the statements")
     ql.add_argument("--backend", choices=BACKENDS, default="python",
                     help="level-sweep backend for cleaning and for the "
                          "QuerySession sweeps (with --flat)")
@@ -215,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="clean straight to the flat columnar form; all "
                          "statements then share one QuerySession's sweeps")
     ql.add_argument("--stats", action="store_true",
-                    help="print engine/representation and timings")
+                    help="print the representation and timings")
     ql.add_argument("statements", nargs="+",
                     help="statements like 'STAY 10', 'MATCH ? F0_R1 ?', "
                          "'TOP 3', 'ENTROPY'")
@@ -242,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "diagnostic is present")
     analyze_cmd.add_argument("--advise", action="store_true",
                              help="also run the advisory rules (C010: "
-                                  "engine/materialisation routing advice; "
+                                  "size, materialisation and backend advice; "
                                   "needs readings via --index)")
     analyze_cmd.add_argument("--format", choices=["text", "json"],
                              default="text", help="report rendering")
@@ -357,10 +344,9 @@ def _cleaned_graph(dataset, args):
     constraints = infer_constraints(dataset.building, MotilityProfile(),
                                     kinds=kinds, distances=dataset.distances)
     lsequence = LSequence.from_readings(trajectory.readings, dataset.prior)
-    # Commands without --engine/--backend/--flat funnel through here with
-    # the defaults (auto engine, python backend, node materialisation).
+    # Commands without --backend/--flat funnel through here with the
+    # defaults (python backend, node materialisation).
     options = CleaningOptions(
-        engine=getattr(args, "engine", "auto"),
         backend=getattr(args, "backend", "python"),
         materialize="flat" if getattr(args, "flat", False) else "auto",
         output=getattr(args, "output", None))
@@ -405,7 +391,7 @@ def _command_clean(args: argparse.Namespace) -> int:
               "created)")
         print(f"timings: forward {stats.forward_seconds:.4f} s, "
               f"backward {stats.backward_seconds:.4f} s "
-              f"(engine: {args.engine})")
+              f"(sweep {stats.sweep_seconds:.4f} s)")
     return 0
 
 
@@ -424,8 +410,7 @@ def _command_clean_many(args: argparse.Namespace) -> int:
                                     kinds=kinds, distances=dataset.distances)
     # Raw readings go in; the workers interpret them through the prior.
     result = clean_many([t.readings for t in trajectories], constraints,
-                        options=CleaningOptions(engine=args.engine,
-                                                backend=args.backend),
+                        options=CleaningOptions(backend=args.backend),
                         workers=args.workers, chunk_size=args.chunk_size,
                         prior=dataset.prior, timeout_seconds=args.timeout,
                         max_retries=args.max_retries)
@@ -504,8 +489,7 @@ def _command_store(args: argparse.Namespace) -> int:
     constraints = infer_constraints(dataset.building, MotilityProfile(),
                                     kinds=kinds, distances=dataset.distances)
     result = clean_many([t.readings for t in trajectories], constraints,
-                        options=CleaningOptions(engine=args.engine,
-                                                backend=args.backend),
+                        options=CleaningOptions(backend=args.backend),
                         workers=args.workers, prior=dataset.prior,
                         store=store)
     hits = sum(1 for o in result if o.cache_hit)
@@ -558,7 +542,7 @@ def _command_query(args: argparse.Namespace) -> int:
     if args.stats:
         representation = "flat (QuerySession)" if session is not None \
             else "nodes (CTGraph)"
-        print(f"stats: engine={args.engine}, representation={representation}")
+        print(f"stats: representation={representation}")
         print(f"timings: clean {clean_seconds:.4f} s, "
               f"queries {time.perf_counter() - query_started:.4f} s")
     return 0
@@ -684,7 +668,7 @@ def _command_ql(args: argparse.Namespace) -> int:
     if args.stats:
         representation = ("nodes (CTGraph)" if isinstance(graph, CTGraph)
                           else "flat (QuerySession)")
-        print(f"stats: engine={args.engine}, representation={representation}")
+        print(f"stats: representation={representation}")
         print(f"timings: clean {clean_seconds:.4f} s, "
               f"queries {time.perf_counter() - query_started:.4f} s")
     return 0

@@ -6,8 +6,8 @@
   successor relation (Definition 3);
 * :mod:`repro.core.ctgraph` — the conditioned-trajectory graph;
 * :mod:`repro.core.algorithm` — Algorithm 1 (forward + backward phases);
-* :mod:`repro.core.engine` — the compact engine: interned states, memoised
-  transition rows, columnar backward sweep (bit-exact, faster);
+* :mod:`repro.core.engine` — its interned states, memoised transition
+  rows and numpy sweep kernels;
 * :mod:`repro.core.validity` — Definition 2 trajectory validity;
 * :mod:`repro.core.naive` — exact conditioning by enumeration (baseline);
 * :mod:`repro.core.sampling` — drawing valid trajectories from a ct-graph.
@@ -19,7 +19,7 @@ from repro.core.algorithm import (
     build_ct_graph,
     clean,
 )
-from repro.core.engine import EngineCache, build_ct_graph_compact
+from repro.core.engine import EngineCache
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
@@ -45,7 +45,6 @@ __all__ = [
     "CleaningOptions",
     "CleaningStats",
     "build_ct_graph",
-    "build_ct_graph_compact",
     "EngineCache",
     "clean",
     "NaiveConditioner",

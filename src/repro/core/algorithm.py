@@ -38,6 +38,38 @@ property tests against the naive enumerator (DESIGN.md §3):
   silently turning every node into a ``loss = 1`` casualty.  The rescaled
   sweep is robust at any duration.
 
+The implementation exploits the repetition of reader patterns along a
+trajectory without changing a single bit of the output:
+
+* **Interning** — locations and node states become small ints in an
+  :class:`~repro.core.engine.EngineCache`.  States are stored in
+  *relative* form ``(location, stay, ((age, location), ...))`` with
+  ``age = tau - departure_time`` (see
+  :func:`repro.core.nodes.relative_departures`): two nodes at different
+  timesteps whose ``TL`` entries are equally old share one interned state.
+* **Memoised transitions** — Definition 3's rules 3–6 compare departure
+  times only through differences ``arrival - time``, so the successor
+  row of a state under an ordered candidate support is a pure function
+  of ``(state, support)``, except where the
+  :class:`~repro.core.nodes.DepartureFilter` prunes ``TL`` entries by
+  *absolute* support windows.  Those keep decisions are folded into a
+  bitmask (:func:`repro.core.nodes.departure_keep_mask`) that widens the
+  cache key, so rows stay exact.  A
+  :class:`~repro.runtime.plan.SharedCleaningPlan` carries the cache
+  across the objects of a batch.
+* **Columnar sweep** — the forward phase records each level's edges as
+  flat parallel arrays ``(parent index, child index, probability)`` in
+  parent-major order; the backward survival sweep runs over arrays, and
+  only the *surviving* nodes and edges are materialised, as ``CTNode``
+  objects or straight into the columnar
+  :class:`~repro.core.flatgraph.FlatCTGraph`.
+
+Float arithmetic follows the direct node-by-node transcription exactly
+(per-parent mass accumulated in edge order, ``weight / mass``
+conditioning before the per-level rescale, ``math.fsum`` for the source
+total); ``tests/reference_builder.py`` keeps that transcription as the
+oracle the parity suites compare against bitwise.
+
 Complexity: with ``S`` the number of node states per timestep and ``L`` the
 per-timestep branching of the l-sequence, the forward phase performs
 ``O(duration * S * L)`` state expansions and the backward sweep touches
@@ -49,20 +81,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core import kernels
 from repro.core.constraints import ConstraintSet
 from repro.core.ctgraph import CTGraph, CTNode
+from repro.core.engine import EngineCache, build_flat_numpy
 from repro.core.flatgraph import FlatCTGraph
-from repro.core.kernels import BACKENDS as _kernel_backends
 from repro.core.lsequence import LSequence, ReadingSequence
-from repro.core.nodes import (
-    DepartureFilter,
-    NodeState,
-    _unchecked_successor,
-    source_states,
-)
+from repro.core.nodes import initial_stay
 from repro.errors import ReadingSequenceError, ZeroMassError
 
 __all__ = ["CleaningOptions", "CleaningStats", "build_ct_graph", "clean"]
@@ -72,9 +100,6 @@ TRUNCATED_STAY_POLICIES = ("lenient", "strict")
 
 #: Pre-flight static-analysis modes (see ``repro.analysis``).
 PRECHECK_MODES = ("off", "warn", "error")
-
-#: The interchangeable Algorithm 1 implementations (see ``docs/perf.md``).
-ENGINES = ("auto", "reference", "compact")
 
 #: What :func:`build_ct_graph` materialises: ``CTNode`` objects
 #: (``"nodes"``; ``"auto"`` currently resolves to the same), the
@@ -86,62 +111,8 @@ MATERIALIZE_MODES = ("auto", "nodes", "flat", "store")
 
 #: The sweep backends (see :mod:`repro.core.kernels`): pure-python loops
 #: (default, the parity oracle), optional numpy level kernels, or
-#: advisor-routed ``"auto"``.
-BACKENDS = _kernel_backends
-
-#: Fallback duration threshold for ``engine="auto"``: below it the
-#: reference builder's lower fixed cost wins, above it the memoised
-#: transition rows dominate.  :func:`build_ct_graph` now routes ``auto``
-#: through the static advisor's predicted state count
-#: (:func:`repro.analysis.advisor.advise`); this duration knob remains the
-#: documented fallback for callers that resolve an engine without an
-#: l-sequence in hand.  Both engines are bit-exact, so either threshold is
-#: purely a performance knob (calibrated by ``benchmarks/bench_engine``).
-AUTO_COMPACT_MIN_DURATION = 48
-
-
-def _resolve_engine(engine: str, duration: int) -> str:
-    """The fallback engine resolution: ``auto`` picks by duration only."""
-    if engine == "auto":
-        if duration >= AUTO_COMPACT_MIN_DURATION:
-            return "compact"
-        return "reference"
-    return engine
-
-
-def _route_options(options: "CleaningOptions", lsequence: LSequence,
-                   constraints: ConstraintSet,
-                   plan=None) -> "CleaningOptions":
-    """The concrete options for one :func:`build_ct_graph` run.
-
-    Explicit ``engine`` and ``backend`` choices pass through.  ``auto``
-    in either field asks the static advisor
-    (:func:`repro.analysis.advisor.recommend_options`) — engine routed by
-    the predicted state count, backend by the predicted mean edges per
-    level — through the plan's advice cache when a
-    :class:`~repro.runtime.plan.SharedCleaningPlan` is supplied, so
-    periodic batch workloads pay for one envelope per support signature
-    rather than one per object.  The two fields resolve independently:
-    an explicit choice in one never blocks advice for the other.
-    Duck-typed plans without an ``advice_for`` method fall back to the
-    direct path.
-    """
-    if options.engine != "auto" and options.backend != "auto":
-        return options
-    if plan is not None:
-        advice_for = getattr(plan, "advice_for", None)
-        if advice_for is not None:
-            advice = advice_for(lsequence, options)
-            return replace(
-                options,
-                engine=(options.engine if options.engine != "auto"
-                        else advice.engine),
-                backend=(options.backend if options.backend != "auto"
-                         else advice.backend))
-    # Imported lazily: repro.analysis depends on this module.
-    from repro.analysis.advisor import recommend_options
-
-    return recommend_options(lsequence, constraints, options)
+#: ``"auto"``, resolved per build from the measured edges per level.
+BACKENDS = kernels.BACKENDS
 
 
 @dataclass(frozen=True)
@@ -161,26 +132,16 @@ class CleaningOptions:
     :class:`~repro.errors.ZeroMassError` up front — same outcome as
     running Algorithm 1, minus the cost of the doomed run.
 
-    ``engine`` — which Algorithm 1 implementation runs: ``"reference"``
-    (the direct builder above), ``"compact"`` (the interned engine of
-    :mod:`repro.core.engine` — memoised transition rows, columnar backward
-    sweep), or ``"auto"`` (default: routed per instance by the static
-    advisor's predicted state count, see
-    :func:`repro.analysis.advisor.recommend_options`).  The engines are
-    bit-exact with each other — same graph, same probabilities, same
-    stats counters — so the choice is purely about speed; see
-    ``docs/perf.md``.
-
     ``materialize`` — the shape of the returned graph: ``"nodes"``
     builds the :class:`~repro.core.ctgraph.CTGraph` object web (the
     historical behaviour), ``"flat"`` returns the columnar
-    :class:`~repro.core.flatgraph.FlatCTGraph` instead — the compact
-    engine then never materialises ``CTNode`` objects at all, which is
+    :class:`~repro.core.flatgraph.FlatCTGraph` instead — the build
+    then never materialises ``CTNode`` objects at all, which is
     both faster and smaller when the caller only runs queries (through
     :class:`repro.queries.session.QuerySession`).  ``"store"`` goes one
     step further: the flat columns are written straight into the
     ``output=`` path as a ``rfid-ctg/ctg@1`` binary file (on the numpy
-    route the engine's ndarrays go to disk without ever becoming Python
+    route the sweep's ndarrays go to disk without ever becoming Python
     tuples) and the call returns a zero-copy
     :class:`~repro.store.format.MappedCTGraph` view of that file.
     ``"auto"`` (default) behaves like ``"nodes"``; it resolves to
@@ -196,24 +157,24 @@ class CleaningOptions:
     implicitly, and any other explicit materialisation alongside
     ``output`` is a configuration error.
 
-    ``backend`` — how the compact engine's backward survival sweep and
-    flat materialisation run: ``"python"`` (default) uses the pure-python
+    ``backend`` — how the backward survival sweep and flat
+    materialisation run: ``"python"`` (default) uses the pure-python
     loops, which remain the parity oracle; ``"numpy"`` runs the
     whole-level ndarray kernels of :mod:`repro.core.kernels` when numpy
-    is importable (silently falling back otherwise); ``"auto"`` lets the
-    static advisor engage the kernels only above the calibrated
-    edges-per-level threshold.  Kernel results are pinned to the oracle
-    by the tolerance gate documented in ``docs/perf.md``: identical graph
-    structure and tie-breaks, floats equal to 1e-12 relative.  The
-    backend only affects flat-materialised compact builds (and
-    :class:`~repro.queries.session.QuerySession` sweeps, which take
-    their own ``backend`` argument); node-materialised and reference
-    builds always run in python.
+    is importable (silently falling back otherwise); ``"auto"`` engages
+    the kernels only when the forward phase measured at least the
+    calibrated mean edges per level — the same rule
+    :class:`~repro.queries.session.QuerySession` applies.  Kernel results
+    are pinned to the oracle by the tolerance gate documented in
+    ``docs/perf.md``: identical graph structure and tie-breaks, floats
+    equal to 1e-12 relative.  The backend only affects flat-materialised
+    builds (and :class:`~repro.queries.session.QuerySession` sweeps,
+    which take their own ``backend`` argument); node-materialised builds
+    always run in python.
     """
 
     truncated_stay_policy: str = "lenient"
     precheck: str = "off"
-    engine: str = "auto"
     materialize: str = "auto"
     backend: str = "python"
     output: Optional[str] = None
@@ -228,10 +189,6 @@ class CleaningOptions:
             raise ReadingSequenceError(
                 f"unknown precheck mode {self.precheck!r}; "
                 f"expected one of {PRECHECK_MODES}")
-        if self.engine not in ENGINES:
-            raise ReadingSequenceError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {ENGINES}")
         if self.materialize not in MATERIALIZE_MODES:
             raise ReadingSequenceError(
                 f"unknown materialize mode {self.materialize!r}; "
@@ -263,9 +220,8 @@ class CleaningOptions:
     @property
     def columnar_materialize(self) -> bool:
         """Flat-array materialisation — in memory (``"flat"``) or written
-        straight to a ``.ctg`` file (``"store"``).  This is the knob the
-        engines route on: both modes share the columnar build and skip
-        ``CTNode`` construction entirely."""
+        straight to a ``.ctg`` file (``"store"``).  Both modes share the
+        columnar build and skip ``CTNode`` construction entirely."""
         return self.materialize in ("flat", "store")
 
     @property
@@ -282,18 +238,17 @@ class CleaningStats:
     edges_created: int = 0
     edges_removed: int = 0
     #: Wall-clock seconds of the forward expansion and of the backward
-    #: survival sweep (conditioning and materialisation included), filled
-    #: by both engines so wins are attributable per phase.  Excluded from
-    #: equality — two identical cleanings never time identically.
+    #: survival sweep (conditioning and materialisation included), so
+    #: wins are attributable per phase.  Excluded from equality — two
+    #: identical cleanings never time identically.
     forward_seconds: float = field(default=0.0, compare=False)
     backward_seconds: float = field(default=0.0, compare=False)
     #: Wall-clock seconds of the backward survival sweep *proper* (edge
     #: weights, per-node masses, rescaled survivals — everything before
-    #: materialisation starts).  Filled by the compact engine only, for
-    #: both backends: this is the slice the optional numpy kernels
-    #: replace, so ``benchmarks/bench_engine``'s ``kernel_speedup`` is
-    #: the ratio of these.  ``backward_seconds`` still covers sweep plus
-    #: materialisation.
+    #: materialisation starts), for both backends: this is the slice the
+    #: optional numpy kernels replace, so ``benchmarks/bench_engine``'s
+    #: ``kernel_speedup`` is the ratio of these.  ``backward_seconds``
+    #: still covers sweep plus materialisation.
     sweep_seconds: float = field(default=0.0, compare=False)
 
     @property
@@ -322,169 +277,493 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
 
     ``plan`` is an optional
     :class:`repro.runtime.SharedCleaningPlan` (or any object with the same
-    ``constraints``/``du_row``/``precheck`` surface) holding precomputation
-    shared across the many objects of a batch: cached DU-reachability rows
-    and a run-once analyzer pre-check.  Passing a plan never changes the
-    result — only where the bookkeeping lives.  The plan must be built for
-    this very constraint set.
+    ``constraints``/``engine_cache``/``precheck`` surface) holding
+    precomputation shared across the many objects of a batch: the
+    interned states and memoised transition rows, and a run-once analyzer
+    pre-check.  Passing a plan never changes the result — only where the
+    bookkeeping lives.  The plan must be built for this very constraint
+    set.
     """
-    if plan is not None and plan.constraints != constraints:
-        raise ReadingSequenceError(
-            "the shared cleaning plan was built for a different "
-            "constraint set")
-    routed = _route_options(options, lsequence, constraints, plan)
-    if routed.engine == "compact":
-        # The compact engine owns the whole contract (plan validation,
-        # pre-check, stats); imported lazily to keep the module DAG simple.
-        from repro.core.engine import build_ct_graph_compact
-
-        return build_ct_graph_compact(lsequence, constraints, routed,
-                                      plan=plan)
     if plan is not None:
+        if plan.constraints != constraints:
+            raise ReadingSequenceError(
+                "the shared cleaning plan was built for a different "
+                "constraint set")
         plan.precheck(lsequence, options)
-    elif options.precheck != "off":
-        _run_precheck(lsequence, constraints, options)
+        cache = plan.engine_cache()
+        if cache.constraints != constraints:
+            raise ReadingSequenceError(
+                "the plan's engine cache was built for a different "
+                "constraint set")
+    else:
+        if options.precheck != "off":
+            _run_precheck(lsequence, constraints, options)
+        cache = EngineCache(constraints)
 
     stats = CleaningStats()
     forward_started = time.perf_counter()
     duration = lsequence.duration
     last = duration - 1
+    strict = options.strict_truncation
+
+    location_id = cache.location_id
+    states = cache._states
+    names = cache._location_names
+    rows = cache._rows
 
     # ------------------------------------------------------------------
-    # initialisation: source nodes from the timestep-0 candidates
+    # initialisation: source states from the timestep-0 candidates
     # ------------------------------------------------------------------
-    levels: List[Dict[NodeState, CTNode]] = [{} for _ in range(duration)]
-    prior_source_probability: Dict[CTNode, float] = {}
-    for location, state in source_states(lsequence.support(0), constraints).items():
-        if options.strict_truncation and last == 0 and state[1] is not None:
+    source_sids: List[int] = []
+    prior_probabilities: List[float] = []
+    for location in lsequence.support(0):
+        stay = initial_stay(location, constraints)
+        if strict and last == 0 and stay is not None:
             continue
-        node = CTNode(0, *state)
-        levels[0][state] = node
-        prior_source_probability[node] = lsequence.probability(0, location)
+        source_sids.append(cache.state_id((location_id(location), stay, ())))
+        prior_probabilities.append(lsequence.probability(0, location))
         stats.nodes_created += 1
-    if not levels[0]:
+    if not source_sids:
         raise ZeroMassError(
             "no source location satisfies the constraints at timestep 0")
 
     # ------------------------------------------------------------------
-    # forward phase
+    # forward phase: columnar levels, memoised successor rows
     # ------------------------------------------------------------------
-    departure_filter = (DepartureFilter(lsequence, constraints)
-                        if constraints.tt_sources else None)
+    # The DepartureFilter keep test ``arrival <= alive_until(t, l)`` is
+    # re-derived here as pure integer compares: the maxTravelingTime
+    # horizon becomes ``age <= maxtt(l) - 2`` (tau cancels), and the
+    # binding part becomes "some destination of ``l`` has prior support
+    # inside the constraint window", answered by per-destination
+    # next-support-at-or-after arrays.  ``alive_until`` caches by the
+    # *absolute* departure timestep, which never repeats across levels,
+    # so calling it from the hot loop would recompute every level.
+    tt_sources = constraints.tt_sources
+    use_filter = bool(tt_sources)
+    tt_source_ids = frozenset(location_id(name) for name in tt_sources)
+    horizon_age: Dict[int, int] = {}
+    bindings: Dict[int, Tuple[Tuple[List[int], int], ...]] = {}
+    if use_filter:
+        support_times: Dict[str, List[int]] = {}
+        for t in range(duration):
+            for name in lsequence.candidates(t):
+                support_times.setdefault(name, []).append(t)
+        by_source: Dict[str, List[Tuple[str, int]]] = {}
+        for (source, dest), steps in \
+                constraints.traveling_time_bounds.items():
+            by_source.setdefault(source, []).append((dest, steps))
+        # Sentinel for "no support left": must exceed every binding
+        # window ``departed_at + steps - 1`` (bounded by duration plus
+        # the largest TT bound), or an empty lookup would pass the test.
+        never = duration + max(
+            constraints.traveling_time_bounds.values(), default=0) + 2
+        for name in tt_sources:
+            lid = location_id(name)
+            horizon_age[lid] = constraints.max_traveling_time(name) - 2
+            pairs: List[Tuple[List[int], int]] = []
+            for dest, steps in by_source.get(name, ()):
+                times = support_times.get(dest)
+                if not times:
+                    continue
+                # next_support[t] = the earliest timestep >= t where
+                # ``dest`` has prior support (``never`` when none left).
+                next_support = [0] * (duration + 2)
+                current = never
+                j = len(times) - 1
+                for t in range(duration + 1, -1, -1):
+                    while j >= 0 and times[j] >= t:
+                        current = times[j]
+                        j -= 1
+                    next_support[t] = current
+                pairs.append((next_support, steps))
+            bindings[lid] = tuple(pairs)
+    level_sids: List[Tuple[int, ...]] = [tuple(source_sids)]
+    # The run's edges live in two flat arrays shared by every level; level
+    # ``tau`` owns the slice described by its (absolute) CSR offsets —
+    # ``level_offsets[tau][i]:level_offsets[tau][i+1]`` are the edges of
+    # the i-th frontier node, child indices *local to level tau + 1*, in
+    # the insertion order the reference builder would use.
+    all_children: List[int] = []
+    all_probabilities: List[float] = []
+    extend_children = all_children.extend
+    extend_probabilities = all_probabilities.extend
+    level_offsets: List[List[int]] = []
+    # Per-level references to the cached expansion (children, support
+    # positions, relative offsets — shared objects for memo-hit levels)
+    # plus the level's candidate probabilities: the numpy backend keys
+    # its one-time ndarray conversion on these identities, so periodic
+    # workloads convert each *distinct* level shape once, not per level.
+    level_refs: List[Tuple[List[int], List[int], List[int],
+                           List[float]]] = []
+    # Candidate-probability rows interned per (support, values) pair so
+    # periodic workloads hand ``level_refs`` the *same* list object for
+    # repeated levels — the identity key the numpy backend's one-time
+    # gather cache relies on.
+    probability_lists: Dict[Tuple[int, Tuple[float, ...]], List[float]] = {}
+    compute_row = cache._compute_row
+    row_get = rows.get
+    support_names = cache._support_names
+    level_rows = cache._levels
+    level_get = level_rows.get
+    frontier: Tuple[int, ...] = level_sids[0]
     for tau in range(duration - 1):
-        frontier = levels[tau]
-        next_level = levels[tau + 1]
         candidates = lsequence.candidates(tau + 1)
-        # The plan's row cache is keyed on the *sorted* support: the same
-        # location set listed in different orders across levels (or
-        # objects) must hit one row, so the key is canonicalised once per
-        # level and the row is a set filtered through ``candidates`` order.
-        support = tuple(sorted(candidates)) if plan is not None else ()
-        filter_binding = options.strict_truncation and tau + 1 == last
-        # Rule 2 (DU) is hoisted: the reachable candidates are shared by
-        # every node at the same location of this level.  With a shared
-        # plan the (location, support) -> destinations row is additionally
-        # cached across levels and across the objects of a batch.
-        reachable: Dict[str, list] = {}
-        for node in frontier.values():
-            location = node.location
-            allowed = reachable.get(location)
-            if allowed is None:
-                if plan is not None:
-                    row = plan.du_row(location, support)
-                    allowed = [(destination, probability)
-                               for destination, probability
-                               in candidates.items()
-                               if destination in row]
-                else:
-                    allowed = [(destination, probability)
-                               for destination, probability
-                               in candidates.items()
-                               if not constraints.forbids_step(location,
-                                                               destination)]
-                reachable[location] = allowed
-            state = (location, node.stay, node.departures)
-            for destination, probability in allowed:
-                successor = _unchecked_successor(tau, state, destination,
-                                                 constraints,
-                                                 departure_filter)
-                if successor is None:
-                    continue
-                if filter_binding and successor[1] is not None:
-                    continue
-                child = next_level.get(successor)
-                if child is None:
-                    child = CTNode(tau + 1, *successor)
-                    next_level[successor] = child
-                    stats.nodes_created += 1
-                node.edges[child] = probability
-                child.parents.append(node)
-                stats.edges_created += 1
-        if not next_level:
+        names_key = tuple(candidates)
+        support_id = support_names.get(names_key)
+        if support_id is None:
+            support_id = cache.support_id(
+                tuple([location_id(name) for name in names_key]))
+            support_names[names_key] = support_id
+        values = tuple(candidates.values())
+        probability_key = (support_id, values)
+        probabilities = probability_lists.get(probability_key)
+        if probabilities is None:
+            probabilities = list(values)
+            probability_lists[probability_key] = probabilities
+        filter_binding = strict and tau + 1 == last
+
+        # Periodic workloads repeat whole frontiers, so the expansion of
+        # the full level is memoised as one unit: with a departure filter
+        # the per-node masks join the key (they capture all of the
+        # filter's time-dependence); the strict last level bypasses the
+        # memo (its rows are post-filtered).
+        if use_filter:
+            # Entry (age, l) survives to arrival tau + 1 iff the horizon
+            # holds (age <= maxtt(l) - 2) and some destination of ``l``
+            # has support in [tau + 2, departed_at + steps - 1] — the
+            # exact ``arrival <= alive_until`` test, tau folded away.
+            next_index = tau + 2
+            window_base = tau - 1
+            masks: List[int] = []
+            append_mask = masks.append
+            for sid in frontier:
+                lid, _stay, rel_deps = states[sid]
+                mask = 0
+                bit = 1
+                for age, dlid in rel_deps:
+                    if age <= horizon_age[dlid]:
+                        cutoff = window_base - age
+                        for next_support, steps in bindings[dlid]:
+                            if next_support[next_index] <= cutoff + steps:
+                                mask |= bit
+                                break
+                    bit <<= 1
+                if lid in tt_source_ids and horizon_age[lid] >= 0:
+                    for next_support, steps in bindings[lid]:
+                        if next_support[next_index] <= window_base + steps:
+                            mask |= bit
+                            break
+                append_mask(mask)
+            level_key = (frontier, support_id, tuple(masks))
+        else:
+            masks = []
+            level_key = (frontier, support_id)
+        cached_level = None if filter_binding else level_get(level_key)
+
+        if cached_level is None:
+            next_sids: List[int] = []
+            next_index: Dict[int, int] = {}
+            next_get = next_index.get
+            relative_offsets: List[int] = [0]
+            children: List[int] = []
+            positions: List[int] = []
+            append_offset = relative_offsets.append
+            append_child = children.append
+            append_position = positions.append
+            for i, sid in enumerate(frontier):
+                key = (sid, support_id, masks[i] if masks else 0)
+                row = row_get(key)
+                if row is None:
+                    row = compute_row(sid, support_id, key[2])
+                    rows[key] = row
+                for pos, child_sid in row:
+                    if filter_binding and states[child_sid][1] is not None:
+                        continue
+                    child_index = next_get(child_sid)
+                    if child_index is None:
+                        child_index = len(next_sids)
+                        next_index[child_sid] = child_index
+                        next_sids.append(child_sid)
+                    append_child(child_index)
+                    append_position(pos)
+                append_offset(len(children))
+            cached_level = (tuple(next_sids), relative_offsets,
+                            children, positions)
+            if not filter_binding:
+                level_rows[level_key] = cached_level
+
+        next_frontier, relative_offsets, children, positions = cached_level
+        level_refs.append((children, positions, relative_offsets,
+                           probabilities))
+        stats.nodes_created += len(next_frontier)
+        stats.edges_created += len(children)
+        if not next_frontier:
             raise ZeroMassError(
                 f"no trajectory can legally continue past timestep {tau}")
+        level_sids.append(next_frontier)
+        frontier = next_frontier
+
+    # Kernel routing happens *here*, after the expansion loop, because
+    # the backend only affects what follows (the backward sweep and the
+    # materialisation) and the actual edge counts are now known — "auto"
+    # resolves on the measured mean edges per level, not a prediction.
+    # Only the flat path vectorises: the node path interleaves CTNode
+    # construction with the sweep and always runs in python.
+    route_numpy = options.columnar_materialize and kernels.resolve_backend(
+        options.backend,
+        stats.edges_created / last if last else 0.0) == "numpy"
+    if not route_numpy:
+        # The python sweep walks the run's edges through two flat arrays
+        # with absolute CSR offsets; gathering them is forward-phase
+        # materialisation work, skipped entirely on the numpy route
+        # (whose kernels consume the per-level ``level_refs`` directly).
+        for children, positions, relative_offsets, probabilities \
+                in level_refs:
+            base = len(all_children)
+            extend_children(children)
+            extend_probabilities([probabilities[pos] for pos in positions])
+            level_offsets.append(
+                [base + offset for offset in relative_offsets])
 
     # ------------------------------------------------------------------
-    # backward phase: survival sweep with per-level rescaling
+    # backward phase: survival sweep over the flat edge arrays
     # ------------------------------------------------------------------
     backward_started = time.perf_counter()
     stats.forward_seconds = backward_started - forward_started
-    survival: Dict[CTNode, float] = {node: 1.0 for node in levels[last].values()}
+    if route_numpy:
+        return build_flat_numpy(duration, level_sids, states, names,
+                                level_refs, prior_probabilities,
+                                stats, backward_started,
+                                output=options.output)
+    survivals: List[List[float]] = [[] for _ in range(duration)]
+    survivals[last] = [1.0] * len(level_sids[last])
+    level_masses: List[List[float]] = [[] for _ in range(max(0, last))]
+    weights: List[float] = [0.0] * len(all_children)
+    nodes_removed = 0
+    edges_removed = 0
     for tau in range(last - 1, -1, -1):
-        level = levels[tau]
-        dead: List[NodeState] = []
+        edge_offsets = level_offsets[tau]
+        child_survival = survivals[tau + 1]
+        count = len(level_sids[tau])
+        mass_row = [0.0] * count
+        survival_row = [0.0] * count
         level_max = 0.0
-        for state, node in level.items():
-            mass = 0.0
-            surviving_edges: Dict[CTNode, float] = {}
-            for child, probability in node.edges.items():
-                child_survival = survival.get(child, 0.0)
-                if child_survival > 0.0:
-                    weight = probability * child_survival
-                    surviving_edges[child] = weight
-                    mass += weight
-            if mass <= 0.0:
-                dead.append(state)
-                stats.edges_removed += len(node.edges)
-                node.edges.clear()
-                continue
-            # Condition: each edge's probability becomes its share of the
-            # surviving mass (this is p_edge * S(child) / S(node)).
-            stats.edges_removed += len(node.edges) - len(surviving_edges)
-            node.edges = {child: weight / mass
-                          for child, weight in surviving_edges.items()}
-            survival[node] = mass
-            if mass > level_max:
-                level_max = mass
-        for state in dead:
-            node = level.pop(state)
-            stats.nodes_removed += 1
-        if not level:
+        removed = 0
+        start = edge_offsets[0]
+        if 0.0 not in child_survival:
+            # Fast path — every child is alive, so every edge survives
+            # and the per-parent mass is the plain sum of its weight
+            # slice.  ``sum`` adds left to right exactly like the
+            # reference's ``mass += weight`` loop (starting from 0 adds
+            # nothing to the first float), so this is bit-identical.
+            level_end = edge_offsets[count]
+            weights[start:level_end] = [
+                all_probabilities[e] * child_survival[all_children[e]]
+                for e in range(start, level_end)]
+            for i in range(count):
+                end = edge_offsets[i + 1]
+                mass = sum(weights[start:end])
+                if mass <= 0.0:
+                    edges_removed += end - start
+                    removed += 1
+                else:
+                    mass_row[i] = mass
+                    survival_row[i] = mass
+                    if mass > level_max:
+                        level_max = mass
+                start = end
+        else:
+            for i in range(count):
+                end = edge_offsets[i + 1]
+                mass = 0.0
+                alive_edges = 0
+                for e in range(start, end):
+                    survival = child_survival[all_children[e]]
+                    if survival > 0.0:
+                        # Per-parent mass accumulates in edge insertion
+                        # order — the float-sum order the reference
+                        # builder uses.
+                        weight = all_probabilities[e] * survival
+                        weights[e] = weight
+                        mass += weight
+                        alive_edges += 1
+                if mass <= 0.0:
+                    edges_removed += end - start
+                    removed += 1
+                else:
+                    edges_removed += end - start - alive_edges
+                    mass_row[i] = mass
+                    survival_row[i] = mass
+                    if mass > level_max:
+                        level_max = mass
+                start = end
+        nodes_removed += removed
+        if removed == count:
+            stats.nodes_removed = nodes_removed
+            stats.edges_removed = edges_removed
             raise ZeroMassError(
                 "no trajectory compatible with the readings satisfies "
                 "the constraints")
-        # Rescale so the level's largest survival is 1 — conditioning only
-        # ever uses survival ratios, and this keeps float64 from
-        # underflowing on long sequences.
+        # Rescale so the level's largest survival is 1 (underflow guard);
+        # conditioning below divides by the *unrescaled* mass, exactly as
+        # the reference does before its rescale.
         if level_max > 0.0:
-            for node in level.values():
-                survival[node] /= level_max
+            for i in range(count):
+                if survival_row[i] > 0.0:
+                    survival_row[i] /= level_max
+        survivals[tau] = survival_row
+        level_masses[tau] = mass_row
+    stats.nodes_removed = nodes_removed
+    stats.edges_removed = edges_removed
+    stats.sweep_seconds = time.perf_counter() - backward_started
 
-    # Drop now-unreachable bookkeeping: parents entries of removed nodes.
-    for tau in range(1, duration):
-        for node in levels[tau].values():
-            node.parents = [parent for parent in node.parents if parent.edges]
-    # A level-(tau+1) node none of whose parents survived cannot happen:
-    # an alive child forces every parent's survival to be positive through
-    # the connecting edge.  The graph validation in the tests asserts this.
+    if options.columnar_materialize:
+        # ------------------------------------------------------------------
+        # flat materialisation: the backward sweep's arrays become the
+        # FlatCTGraph directly — no CTNode is ever created.  Interning,
+        # node order, edge order and every conditioned float mirror the
+        # node path + ``to_flat()`` exactly (pinned by the parity suite).
+        # ------------------------------------------------------------------
+        flat_ids: Dict[int, int] = {}
+        flat_names: List[str] = []
+        flat_locations: List[Tuple[int, ...]] = []
+        flat_stays: List[Tuple[Optional[int], ...]] = []
+        index_maps: List[List[int]] = []
+        for tau in range(duration):
+            sids = level_sids[tau]
+            # A node is dead iff its *pre-rescale* mass was <= 0 — the
+            # criterion the node path uses too.
+            mass_row = level_masses[tau] if tau != last else None
+            loc_row: List[int] = []
+            stay_row: List[Optional[int]] = []
+            index_map = [-1] * len(sids)
+            for i, sid in enumerate(sids):
+                if mass_row is not None and mass_row[i] <= 0.0:
+                    continue
+                lid, stay, _rel_deps = states[sid]
+                fid = flat_ids.get(lid)
+                if fid is None:
+                    fid = len(flat_names)
+                    flat_ids[lid] = fid
+                    flat_names.append(names[lid])
+                index_map[i] = len(loc_row)
+                loc_row.append(fid)
+                stay_row.append(stay)
+            flat_locations.append(tuple(loc_row))
+            flat_stays.append(tuple(stay_row))
+            index_maps.append(index_map)
+        flat_offsets: List[Tuple[int, ...]] = []
+        flat_children: List[Tuple[int, ...]] = []
+        flat_probabilities: List[Tuple[float, ...]] = []
+        for tau in range(duration - 1):
+            edge_offsets = level_offsets[tau]
+            mass_row = level_masses[tau]
+            child_map = index_maps[tau + 1]
+            child_survival = survivals[tau + 1]
+            offsets: List[int] = [0]
+            children: List[int] = []
+            probabilities: List[float] = []
+            for i in range(len(level_sids[tau])):
+                mass = mass_row[i]
+                if mass <= 0.0:
+                    continue
+                for e in range(edge_offsets[i], edge_offsets[i + 1]):
+                    child_index = all_children[e]
+                    # An edge survives with its (alive) parent iff the
+                    # child is alive, even when the conditioned weight
+                    # underflows to 0.0.
+                    if child_survival[child_index] > 0.0:
+                        children.append(child_map[child_index])
+                        probabilities.append(weights[e] / mass)
+                offsets.append(len(children))
+            flat_offsets.append(tuple(offsets))
+            flat_children.append(tuple(children))
+            flat_probabilities.append(tuple(probabilities))
+        survival_row = survivals[0]
+        source_row = [prior_probabilities[i] * survival_row[i]
+                      for i in range(len(level_sids[0]))
+                      if index_maps[0][i] >= 0]
+        total = math.fsum(source_row)
+        if total <= 0.0:
+            raise ZeroMassError(
+                "the valid trajectories have zero total prior probability")
+        stats.backward_seconds = time.perf_counter() - backward_started
+        flat = FlatCTGraph(
+            location_names=tuple(flat_names),
+            locations=tuple(flat_locations),
+            stays=tuple(flat_stays),
+            edge_offsets=tuple(flat_offsets),
+            edge_children=tuple(flat_children),
+            edge_probabilities=tuple(flat_probabilities),
+            source_probabilities=tuple(p / total for p in source_row),
+            stats=stats)
+        if options.store_materialize:
+            # The python backend still builds the tuples (they *are* its
+            # sweep output); the store write + reload gives callers the
+            # same mmap-view contract as the numpy direct-write route.
+            from repro.store.format import load_ctg, save_ctg
+
+            save_ctg(flat, options.output)
+            return load_ctg(options.output, mmap=True)
+        return flat
+
+    # ------------------------------------------------------------------
+    # materialisation: surviving nodes and edges, reference order
+    # ------------------------------------------------------------------
+    node_table: List[List[Optional[CTNode]]] = []
+    for tau in range(duration):
+        sids = level_sids[tau]
+        row_nodes: List[Optional[CTNode]] = [None] * len(sids)
+        # A node is dead iff its *pre-rescale* mass was <= 0 — the exact
+        # criterion the reference uses to pop it (the rescaled survival
+        # can in principle underflow to 0.0 on an alive node).
+        mass = level_masses[tau] if tau != last else None
+        for i, sid in enumerate(sids):
+            if mass is not None and mass[i] <= 0.0:
+                continue
+            lid, stay, rel_deps = states[sid]
+            if not rel_deps:
+                row_nodes[i] = CTNode(tau, names[lid], stay, ())
+            elif len(rel_deps) == 1:
+                age, dlid = rel_deps[0]
+                row_nodes[i] = CTNode(tau, names[lid], stay,
+                                      ((tau - age, names[dlid]),))
+            else:
+                row_nodes[i] = CTNode(
+                    tau, names[lid], stay,
+                    tuple([(tau - age, names[dlid])
+                           for age, dlid in rel_deps]))
+        node_table.append(row_nodes)
+    for tau in range(duration - 1):
+        edge_offsets = level_offsets[tau]
+        mass_row = level_masses[tau]
+        parent_nodes = node_table[tau]
+        child_nodes = node_table[tau + 1]
+        child_survival = survivals[tau + 1]
+        for i, parent in enumerate(parent_nodes):
+            if parent is None:
+                continue
+            mass = mass_row[i]
+            edges = parent.edges
+            for e in range(edge_offsets[i], edge_offsets[i + 1]):
+                child_index = all_children[e]
+                # An edge survives with its (alive) parent iff the child
+                # is alive — even when the conditioned weight underflows
+                # to 0.0.
+                if child_survival[child_index] > 0.0:
+                    child = child_nodes[child_index]
+                    edges[child] = weights[e] / mass
+                    child.parents.append(parent)
 
     # ------------------------------------------------------------------
     # source conditioning (with the survival damping — DESIGN.md §3)
     # ------------------------------------------------------------------
     source_probabilities: Dict[CTNode, float] = {}
-    for node in levels[0].values():
-        source_probabilities[node] = (
-            prior_source_probability[node] * survival.get(node, 1.0))
+    survival_row = survivals[0]
+    for i, node in enumerate(node_table[0]):
+        if node is None:
+            continue
+        source_probabilities[node] = prior_probabilities[i] * survival_row[i]
     total = math.fsum(source_probabilities.values())
     if total <= 0.0:
         raise ZeroMassError(
@@ -493,19 +772,10 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
         source_probabilities[node] /= total
 
     stats.backward_seconds = time.perf_counter() - backward_started
-    graph = CTGraph([tuple(level.values()) for level in levels],
-                    source_probabilities, stats=stats)
-    if options.columnar_materialize:
-        # The reference builder always materialises nodes; the flat form
-        # is a conversion here (the compact engine emits it natively).
-        flat = graph.to_flat()
-        if options.store_materialize:
-            from repro.store.format import load_ctg, save_ctg
+    return CTGraph([tuple([node for node in row if node is not None])
+                    for row in node_table],
+                   source_probabilities, stats=stats)
 
-            save_ctg(flat, options.output)
-            return load_ctg(options.output, mmap=True)
-        return flat
-    return graph
 
 
 def _run_precheck(lsequence: LSequence, constraints: ConstraintSet,

@@ -1,45 +1,22 @@
-"""The compact cleaning engine: Algorithm 1 over interned, columnar state.
+"""The interned state behind Algorithm 1 and its numpy sweep.
 
-:func:`build_ct_graph` re-derives every successor state with
-``_unchecked_successor`` at every level — ``O(duration * S * L)`` calls,
-each rebuilding stay counters and ``TL`` tuples — even though reader
-patterns, and therefore frontier expansions, repeat heavily along a
-trajectory.  This module exploits that repetition without changing a
-single bit of the output:
+:func:`~repro.core.algorithm.build_ct_graph` runs over small ints rather
+than ``CTNode`` objects (see that module's docstring for the argument):
 
-* **Interning** — locations and node states become small ints.  States are
-  stored in *relative* form ``(location, stay, ((age, location), ...))``
-  with ``age = tau - departure_time`` (see
-  :func:`repro.core.nodes.relative_departures`): two nodes at different
-  timesteps whose ``TL`` entries are equally old share one interned state.
+* :class:`EngineCache` interns locations, relative node states and
+  ordered candidate supports, and memoises the successor row of every
+  ``(state, support, departure-filter mask)`` key plus the expansion of
+  every whole repeated level.  Rows depend on the constraint set only,
+  so a :class:`~repro.runtime.plan.SharedCleaningPlan` carries one cache
+  across the objects of a batch;
+* :func:`build_flat_numpy` is the ``backend="numpy"`` half of the
+  backward sweep and flat materialisation, as whole-level ndarray
+  kernels.
 
-* **Memoised transitions** — Definition 3's rules 3–6 compare departure
-  times only through differences ``arrival - time``, which relative ages
-  express directly, so the full successor row of a state under an ordered
-  candidate support is a pure function of ``(state, support)`` — except
-  where the :class:`~repro.core.nodes.DepartureFilter` prunes ``TL``
-  entries by *absolute* support windows.  Those per-entry keep decisions
-  are folded into a bitmask (:func:`repro.core.nodes.departure_keep_mask`)
-  that widens the cache key: rows are keyed ``(state, support, mask)`` and
-  stay exact — the engine never approximates, it only caches more finely
-  where the filter makes transitions time-dependent.  The cache lives in
-  an :class:`EngineCache`, which a
-  :class:`~repro.runtime.plan.SharedCleaningPlan` carries across the
-  objects of a batch (rows depend on the constraint set, not the object).
-
-* **Columnar sweep** — the forward phase records each level's edges as
-  flat parallel arrays ``(parent index, child index, probability)`` in
-  parent-major order; the backward survival sweep then runs over arrays
-  instead of per-node dicts, and only the *surviving* nodes and edges are
-  materialised as :class:`~repro.core.ctgraph.CTNode` objects at the end.
-
-The result is **bit-exact** with the reference builder: same nodes in the
-same order, same edges in the same insertion order, and identical
-floating-point arithmetic (per-parent mass accumulated in edge order,
-``weight / mass`` conditioning before the per-level rescale, ``math.fsum``
-for the source total).  The property tests pin graphs *and* stats counters
-against :func:`~repro.core.algorithm.build_ct_graph` over random map
-plans; see ``docs/perf.md`` for the argument and the benchmark numbers.
+Output is **bit-exact** with the node-by-node transcription of Algorithm
+1 that ``tests/reference_builder.py`` keeps as the oracle: same nodes in
+the same order, same edges in the same insertion order, identical
+floating-point arithmetic.
 """
 
 from __future__ import annotations
@@ -49,15 +26,12 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import kernels
-from repro.core.algorithm import CleaningOptions, CleaningStats, _run_precheck
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.flatgraph import FlatCTGraph
-from repro.core.lsequence import LSequence
 from repro.core.nodes import _advance_stay, initial_stay
-from repro.errors import ReadingSequenceError, ZeroMassError
+from repro.errors import ZeroMassError
 
-__all__ = ["EngineCache", "build_ct_graph_compact"]
+__all__ = ["EngineCache", "build_flat_numpy"]
 
 #: An interned node state in relative form:
 #: ``(location id, stay, ((age, location id), ...))``.
@@ -236,513 +210,12 @@ class EngineCache:
         return tuple(row)
 
 
-def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
-                           options: CleaningOptions = CleaningOptions(), *,
-                           plan=None) -> CTGraph:
-    """Algorithm 1 through the compact engine (see the module docstring).
-
-    Drop-in for :func:`~repro.core.algorithm.build_ct_graph` — same
-    contract, same plan/pre-check semantics, bit-exact output.  Normally
-    reached via ``CleaningOptions(engine=...)``; calling it directly skips
-    the ``engine`` option entirely.
-    """
-    if plan is not None:
-        if plan.constraints != constraints:
-            raise ReadingSequenceError(
-                "the shared cleaning plan was built for a different "
-                "constraint set")
-        plan.precheck(lsequence, options)
-        cache = plan.engine_cache()
-        if cache.constraints != constraints:
-            raise ReadingSequenceError(
-                "the plan's engine cache was built for a different "
-                "constraint set")
-    else:
-        if options.precheck != "off":
-            _run_precheck(lsequence, constraints, options)
-        cache = EngineCache(constraints)
-
-    stats = CleaningStats()
-    forward_started = time.perf_counter()
-    duration = lsequence.duration
-    last = duration - 1
-    strict = options.strict_truncation
-
-    location_id = cache.location_id
-    states = cache._states
-    names = cache._location_names
-    rows = cache._rows
-
-    # ------------------------------------------------------------------
-    # initialisation: source states from the timestep-0 candidates
-    # ------------------------------------------------------------------
-    source_sids: List[int] = []
-    prior_probabilities: List[float] = []
-    for location in lsequence.support(0):
-        stay = initial_stay(location, constraints)
-        if strict and last == 0 and stay is not None:
-            continue
-        source_sids.append(cache.state_id((location_id(location), stay, ())))
-        prior_probabilities.append(lsequence.probability(0, location))
-        stats.nodes_created += 1
-    if not source_sids:
-        raise ZeroMassError(
-            "no source location satisfies the constraints at timestep 0")
-
-    # ------------------------------------------------------------------
-    # forward phase: columnar levels, memoised successor rows
-    # ------------------------------------------------------------------
-    # The DepartureFilter keep test ``arrival <= alive_until(t, l)`` is
-    # re-derived here as pure integer compares: the maxTravelingTime
-    # horizon becomes ``age <= maxtt(l) - 2`` (tau cancels), and the
-    # binding part becomes "some destination of ``l`` has prior support
-    # inside the constraint window", answered by per-destination
-    # next-support-at-or-after arrays.  ``alive_until`` caches by the
-    # *absolute* departure timestep, which never repeats across levels,
-    # so calling it from the hot loop would recompute every level.
-    tt_sources = constraints.tt_sources
-    use_filter = bool(tt_sources)
-    tt_source_ids = frozenset(location_id(name) for name in tt_sources)
-    horizon_age: Dict[int, int] = {}
-    bindings: Dict[int, Tuple[Tuple[List[int], int], ...]] = {}
-    if use_filter:
-        support_times: Dict[str, List[int]] = {}
-        for t in range(duration):
-            for name in lsequence.candidates(t):
-                support_times.setdefault(name, []).append(t)
-        by_source: Dict[str, List[Tuple[str, int]]] = {}
-        for (source, dest), steps in \
-                constraints.traveling_time_bounds.items():
-            by_source.setdefault(source, []).append((dest, steps))
-        # Sentinel for "no support left": must exceed every binding
-        # window ``departed_at + steps - 1`` (bounded by duration plus
-        # the largest TT bound), or an empty lookup would pass the test.
-        never = duration + max(
-            constraints.traveling_time_bounds.values(), default=0) + 2
-        for name in tt_sources:
-            lid = location_id(name)
-            horizon_age[lid] = constraints.max_traveling_time(name) - 2
-            pairs: List[Tuple[List[int], int]] = []
-            for dest, steps in by_source.get(name, ()):
-                times = support_times.get(dest)
-                if not times:
-                    continue
-                # next_support[t] = the earliest timestep >= t where
-                # ``dest`` has prior support (``never`` when none left).
-                next_support = [0] * (duration + 2)
-                current = never
-                j = len(times) - 1
-                for t in range(duration + 1, -1, -1):
-                    while j >= 0 and times[j] >= t:
-                        current = times[j]
-                        j -= 1
-                    next_support[t] = current
-                pairs.append((next_support, steps))
-            bindings[lid] = tuple(pairs)
-    level_sids: List[Tuple[int, ...]] = [tuple(source_sids)]
-    # The run's edges live in two flat arrays shared by every level; level
-    # ``tau`` owns the slice described by its (absolute) CSR offsets —
-    # ``level_offsets[tau][i]:level_offsets[tau][i+1]`` are the edges of
-    # the i-th frontier node, child indices *local to level tau + 1*, in
-    # the insertion order the reference builder would use.
-    all_children: List[int] = []
-    all_probabilities: List[float] = []
-    extend_children = all_children.extend
-    extend_probabilities = all_probabilities.extend
-    level_offsets: List[List[int]] = []
-    # Per-level references to the cached expansion (children, support
-    # positions, relative offsets — shared objects for memo-hit levels)
-    # plus the level's candidate probabilities: the numpy backend keys
-    # its one-time ndarray conversion on these identities, so periodic
-    # workloads convert each *distinct* level shape once, not per level.
-    level_refs: List[Tuple[List[int], List[int], List[int],
-                           List[float]]] = []
-    # Candidate-probability rows interned per (support, values) pair so
-    # periodic workloads hand ``level_refs`` the *same* list object for
-    # repeated levels — the identity key the numpy backend's one-time
-    # gather cache relies on.
-    probability_lists: Dict[Tuple[int, Tuple[float, ...]], List[float]] = {}
-    compute_row = cache._compute_row
-    row_get = rows.get
-    support_names = cache._support_names
-    level_rows = cache._levels
-    level_get = level_rows.get
-    frontier: Tuple[int, ...] = level_sids[0]
-    for tau in range(duration - 1):
-        candidates = lsequence.candidates(tau + 1)
-        names_key = tuple(candidates)
-        support_id = support_names.get(names_key)
-        if support_id is None:
-            support_id = cache.support_id(
-                tuple([location_id(name) for name in names_key]))
-            support_names[names_key] = support_id
-        values = tuple(candidates.values())
-        probability_key = (support_id, values)
-        probabilities = probability_lists.get(probability_key)
-        if probabilities is None:
-            probabilities = list(values)
-            probability_lists[probability_key] = probabilities
-        filter_binding = strict and tau + 1 == last
-
-        # Periodic workloads repeat whole frontiers, so the expansion of
-        # the full level is memoised as one unit: with a departure filter
-        # the per-node masks join the key (they capture all of the
-        # filter's time-dependence); the strict last level bypasses the
-        # memo (its rows are post-filtered).
-        if use_filter:
-            # Entry (age, l) survives to arrival tau + 1 iff the horizon
-            # holds (age <= maxtt(l) - 2) and some destination of ``l``
-            # has support in [tau + 2, departed_at + steps - 1] — the
-            # exact ``arrival <= alive_until`` test, tau folded away.
-            next_index = tau + 2
-            window_base = tau - 1
-            masks: List[int] = []
-            append_mask = masks.append
-            for sid in frontier:
-                lid, _stay, rel_deps = states[sid]
-                mask = 0
-                bit = 1
-                for age, dlid in rel_deps:
-                    if age <= horizon_age[dlid]:
-                        cutoff = window_base - age
-                        for next_support, steps in bindings[dlid]:
-                            if next_support[next_index] <= cutoff + steps:
-                                mask |= bit
-                                break
-                    bit <<= 1
-                if lid in tt_source_ids and horizon_age[lid] >= 0:
-                    for next_support, steps in bindings[lid]:
-                        if next_support[next_index] <= window_base + steps:
-                            mask |= bit
-                            break
-                append_mask(mask)
-            level_key = (frontier, support_id, tuple(masks))
-        else:
-            masks = []
-            level_key = (frontier, support_id)
-        cached_level = None if filter_binding else level_get(level_key)
-
-        if cached_level is None:
-            next_sids: List[int] = []
-            next_index: Dict[int, int] = {}
-            next_get = next_index.get
-            relative_offsets: List[int] = [0]
-            children: List[int] = []
-            positions: List[int] = []
-            append_offset = relative_offsets.append
-            append_child = children.append
-            append_position = positions.append
-            for i, sid in enumerate(frontier):
-                key = (sid, support_id, masks[i] if masks else 0)
-                row = row_get(key)
-                if row is None:
-                    row = compute_row(sid, support_id, key[2])
-                    rows[key] = row
-                for pos, child_sid in row:
-                    if filter_binding and states[child_sid][1] is not None:
-                        continue
-                    child_index = next_get(child_sid)
-                    if child_index is None:
-                        child_index = len(next_sids)
-                        next_index[child_sid] = child_index
-                        next_sids.append(child_sid)
-                    append_child(child_index)
-                    append_position(pos)
-                append_offset(len(children))
-            cached_level = (tuple(next_sids), relative_offsets,
-                            children, positions)
-            if not filter_binding:
-                level_rows[level_key] = cached_level
-
-        next_frontier, relative_offsets, children, positions = cached_level
-        level_refs.append((children, positions, relative_offsets,
-                           probabilities))
-        stats.nodes_created += len(next_frontier)
-        stats.edges_created += len(children)
-        if not next_frontier:
-            raise ZeroMassError(
-                f"no trajectory can legally continue past timestep {tau}")
-        level_sids.append(next_frontier)
-        frontier = next_frontier
-
-    # Kernel routing happens *here*, after the expansion loop, because
-    # the backend only affects what follows (the backward sweep and the
-    # materialisation) and the actual edge counts are now known — "auto"
-    # resolves on the measured mean edges per level, not a prediction.
-    # Only the flat path vectorises: the node path interleaves CTNode
-    # construction with the sweep and always runs in python.
-    route_numpy = options.columnar_materialize and kernels.resolve_backend(
-        options.backend,
-        stats.edges_created / last if last else 0.0) == "numpy"
-    if not route_numpy:
-        # The python sweep walks the run's edges through two flat arrays
-        # with absolute CSR offsets; gathering them is forward-phase
-        # materialisation work, skipped entirely on the numpy route
-        # (whose kernels consume the per-level ``level_refs`` directly).
-        for children, positions, relative_offsets, probabilities \
-                in level_refs:
-            base = len(all_children)
-            extend_children(children)
-            extend_probabilities([probabilities[pos] for pos in positions])
-            level_offsets.append(
-                [base + offset for offset in relative_offsets])
-
-    # ------------------------------------------------------------------
-    # backward phase: survival sweep over the flat edge arrays
-    # ------------------------------------------------------------------
-    backward_started = time.perf_counter()
-    stats.forward_seconds = backward_started - forward_started
-    if route_numpy:
-        return _build_flat_numpy(duration, level_sids, states, names,
-                                 level_refs, prior_probabilities,
-                                 stats, backward_started,
-                                 output=options.output)
-    survivals: List[List[float]] = [[] for _ in range(duration)]
-    survivals[last] = [1.0] * len(level_sids[last])
-    level_masses: List[List[float]] = [[] for _ in range(max(0, last))]
-    weights: List[float] = [0.0] * len(all_children)
-    nodes_removed = 0
-    edges_removed = 0
-    for tau in range(last - 1, -1, -1):
-        edge_offsets = level_offsets[tau]
-        child_survival = survivals[tau + 1]
-        count = len(level_sids[tau])
-        mass_row = [0.0] * count
-        survival_row = [0.0] * count
-        level_max = 0.0
-        removed = 0
-        start = edge_offsets[0]
-        if 0.0 not in child_survival:
-            # Fast path — every child is alive, so every edge survives
-            # and the per-parent mass is the plain sum of its weight
-            # slice.  ``sum`` adds left to right exactly like the
-            # reference's ``mass += weight`` loop (starting from 0 adds
-            # nothing to the first float), so this is bit-identical.
-            level_end = edge_offsets[count]
-            weights[start:level_end] = [
-                all_probabilities[e] * child_survival[all_children[e]]
-                for e in range(start, level_end)]
-            for i in range(count):
-                end = edge_offsets[i + 1]
-                mass = sum(weights[start:end])
-                if mass <= 0.0:
-                    edges_removed += end - start
-                    removed += 1
-                else:
-                    mass_row[i] = mass
-                    survival_row[i] = mass
-                    if mass > level_max:
-                        level_max = mass
-                start = end
-        else:
-            for i in range(count):
-                end = edge_offsets[i + 1]
-                mass = 0.0
-                alive_edges = 0
-                for e in range(start, end):
-                    survival = child_survival[all_children[e]]
-                    if survival > 0.0:
-                        # Per-parent mass accumulates in edge insertion
-                        # order — the float-sum order the reference
-                        # builder uses.
-                        weight = all_probabilities[e] * survival
-                        weights[e] = weight
-                        mass += weight
-                        alive_edges += 1
-                if mass <= 0.0:
-                    edges_removed += end - start
-                    removed += 1
-                else:
-                    edges_removed += end - start - alive_edges
-                    mass_row[i] = mass
-                    survival_row[i] = mass
-                    if mass > level_max:
-                        level_max = mass
-                start = end
-        nodes_removed += removed
-        if removed == count:
-            stats.nodes_removed = nodes_removed
-            stats.edges_removed = edges_removed
-            raise ZeroMassError(
-                "no trajectory compatible with the readings satisfies "
-                "the constraints")
-        # Rescale so the level's largest survival is 1 (underflow guard);
-        # conditioning below divides by the *unrescaled* mass, exactly as
-        # the reference does before its rescale.
-        if level_max > 0.0:
-            for i in range(count):
-                if survival_row[i] > 0.0:
-                    survival_row[i] /= level_max
-        survivals[tau] = survival_row
-        level_masses[tau] = mass_row
-    stats.nodes_removed = nodes_removed
-    stats.edges_removed = edges_removed
-    stats.sweep_seconds = time.perf_counter() - backward_started
-
-    if options.columnar_materialize:
-        # ------------------------------------------------------------------
-        # flat materialisation: the backward sweep's arrays become the
-        # FlatCTGraph directly — no CTNode is ever created.  Interning,
-        # node order, edge order and every conditioned float mirror the
-        # node path + ``to_flat()`` exactly (pinned by the parity suite).
-        # ------------------------------------------------------------------
-        flat_ids: Dict[int, int] = {}
-        flat_names: List[str] = []
-        flat_locations: List[Tuple[int, ...]] = []
-        flat_stays: List[Tuple[Optional[int], ...]] = []
-        index_maps: List[List[int]] = []
-        for tau in range(duration):
-            sids = level_sids[tau]
-            # A node is dead iff its *pre-rescale* mass was <= 0 — the
-            # criterion the node path uses too.
-            mass_row = level_masses[tau] if tau != last else None
-            loc_row: List[int] = []
-            stay_row: List[Optional[int]] = []
-            index_map = [-1] * len(sids)
-            for i, sid in enumerate(sids):
-                if mass_row is not None and mass_row[i] <= 0.0:
-                    continue
-                lid, stay, _rel_deps = states[sid]
-                fid = flat_ids.get(lid)
-                if fid is None:
-                    fid = len(flat_names)
-                    flat_ids[lid] = fid
-                    flat_names.append(names[lid])
-                index_map[i] = len(loc_row)
-                loc_row.append(fid)
-                stay_row.append(stay)
-            flat_locations.append(tuple(loc_row))
-            flat_stays.append(tuple(stay_row))
-            index_maps.append(index_map)
-        flat_offsets: List[Tuple[int, ...]] = []
-        flat_children: List[Tuple[int, ...]] = []
-        flat_probabilities: List[Tuple[float, ...]] = []
-        for tau in range(duration - 1):
-            edge_offsets = level_offsets[tau]
-            mass_row = level_masses[tau]
-            child_map = index_maps[tau + 1]
-            child_survival = survivals[tau + 1]
-            offsets: List[int] = [0]
-            children: List[int] = []
-            probabilities: List[float] = []
-            for i in range(len(level_sids[tau])):
-                mass = mass_row[i]
-                if mass <= 0.0:
-                    continue
-                for e in range(edge_offsets[i], edge_offsets[i + 1]):
-                    child_index = all_children[e]
-                    # An edge survives with its (alive) parent iff the
-                    # child is alive, even when the conditioned weight
-                    # underflows to 0.0.
-                    if child_survival[child_index] > 0.0:
-                        children.append(child_map[child_index])
-                        probabilities.append(weights[e] / mass)
-                offsets.append(len(children))
-            flat_offsets.append(tuple(offsets))
-            flat_children.append(tuple(children))
-            flat_probabilities.append(tuple(probabilities))
-        survival_row = survivals[0]
-        source_row = [prior_probabilities[i] * survival_row[i]
-                      for i in range(len(level_sids[0]))
-                      if index_maps[0][i] >= 0]
-        total = math.fsum(source_row)
-        if total <= 0.0:
-            raise ZeroMassError(
-                "the valid trajectories have zero total prior probability")
-        stats.backward_seconds = time.perf_counter() - backward_started
-        flat = FlatCTGraph(
-            location_names=tuple(flat_names),
-            locations=tuple(flat_locations),
-            stays=tuple(flat_stays),
-            edge_offsets=tuple(flat_offsets),
-            edge_children=tuple(flat_children),
-            edge_probabilities=tuple(flat_probabilities),
-            source_probabilities=tuple(p / total for p in source_row),
-            stats=stats)
-        if options.store_materialize:
-            # The python backend still builds the tuples (they *are* its
-            # sweep output); the store write + reload gives callers the
-            # same mmap-view contract as the numpy direct-write route.
-            from repro.store.format import load_ctg, save_ctg
-
-            save_ctg(flat, options.output)
-            return load_ctg(options.output, mmap=True)
-        return flat
-
-    # ------------------------------------------------------------------
-    # materialisation: surviving nodes and edges, reference order
-    # ------------------------------------------------------------------
-    node_table: List[List[Optional[CTNode]]] = []
-    for tau in range(duration):
-        sids = level_sids[tau]
-        row_nodes: List[Optional[CTNode]] = [None] * len(sids)
-        # A node is dead iff its *pre-rescale* mass was <= 0 — the exact
-        # criterion the reference uses to pop it (the rescaled survival
-        # can in principle underflow to 0.0 on an alive node).
-        mass = level_masses[tau] if tau != last else None
-        for i, sid in enumerate(sids):
-            if mass is not None and mass[i] <= 0.0:
-                continue
-            lid, stay, rel_deps = states[sid]
-            if not rel_deps:
-                row_nodes[i] = CTNode(tau, names[lid], stay, ())
-            elif len(rel_deps) == 1:
-                age, dlid = rel_deps[0]
-                row_nodes[i] = CTNode(tau, names[lid], stay,
-                                      ((tau - age, names[dlid]),))
-            else:
-                row_nodes[i] = CTNode(
-                    tau, names[lid], stay,
-                    tuple([(tau - age, names[dlid])
-                           for age, dlid in rel_deps]))
-        node_table.append(row_nodes)
-    for tau in range(duration - 1):
-        edge_offsets = level_offsets[tau]
-        mass_row = level_masses[tau]
-        parent_nodes = node_table[tau]
-        child_nodes = node_table[tau + 1]
-        child_survival = survivals[tau + 1]
-        for i, parent in enumerate(parent_nodes):
-            if parent is None:
-                continue
-            mass = mass_row[i]
-            edges = parent.edges
-            for e in range(edge_offsets[i], edge_offsets[i + 1]):
-                child_index = all_children[e]
-                # An edge survives with its (alive) parent iff the child
-                # is alive — even when the conditioned weight underflows
-                # to 0.0.
-                if child_survival[child_index] > 0.0:
-                    child = child_nodes[child_index]
-                    edges[child] = weights[e] / mass
-                    child.parents.append(parent)
-
-    # ------------------------------------------------------------------
-    # source conditioning (with the survival damping — DESIGN.md §3)
-    # ------------------------------------------------------------------
-    source_probabilities: Dict[CTNode, float] = {}
-    survival_row = survivals[0]
-    for i, node in enumerate(node_table[0]):
-        if node is None:
-            continue
-        source_probabilities[node] = prior_probabilities[i] * survival_row[i]
-    total = math.fsum(source_probabilities.values())
-    if total <= 0.0:
-        raise ZeroMassError(
-            "the valid trajectories have zero total prior probability")
-    for node in source_probabilities:
-        source_probabilities[node] /= total
-
-    stats.backward_seconds = time.perf_counter() - backward_started
-    return CTGraph([tuple([node for node in row if node is not None])
-                    for row in node_table],
-                   source_probabilities, stats=stats)
 
 
-def _build_flat_numpy(duration: int, level_sids, states, names,
-                      level_refs, prior_probabilities, stats,
-                      backward_started: float,
-                      output: Optional[str] = None):
+def build_flat_numpy(duration: int, level_sids, states, names,
+                     level_refs, prior_probabilities, stats,
+                     backward_started: float,
+                     output: Optional[str] = None):
     """The backward sweep + flat materialisation as whole-level kernels.
 
     With ``output`` set (``materialize="store"``), the kept edge columns

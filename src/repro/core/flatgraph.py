@@ -11,10 +11,10 @@ Two producers, one representation:
 
 * :meth:`repro.core.ctgraph.CTGraph.to_flat` converts a materialised node
   graph;
-* ``CleaningOptions(materialize="flat")`` makes both cleaning engines emit
-  the flat form directly — the compact engine skips ``CTNode``
-  materialisation entirely (its backward sweep already lives on flat
-  arrays).
+* ``CleaningOptions(materialize="flat")`` makes
+  :func:`~repro.core.algorithm.build_ct_graph` emit the flat form
+  directly, skipping ``CTNode`` materialisation entirely (its backward
+  sweep already lives on flat arrays).
 
 A third form shares the representation without owning it: the binary
 ``.ctg`` store (:mod:`repro.store`) serialises exactly these columns, and
@@ -25,7 +25,7 @@ the exporters) accept either interchangeably.
 
 The two routes are **bit-identical**: same interning order (first
 appearance, level-major), same per-level node order (the order the
-reference builder files surviving nodes), same CSR edge order (edge
+node build files surviving nodes), same CSR edge order (edge
 insertion order) and the same conditioned floats.  The hypothesis suite
 in ``tests/test_queries_flat.py`` pins this.
 

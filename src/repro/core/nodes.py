@@ -60,8 +60,8 @@ Departures = Tuple[Tuple[int, str], ...]
 #: with ``age = tau - time >= 0``, in the same entry order as the absolute
 #: tuple it was derived from.  Two nodes at different timesteps share one
 #: relative tuple exactly when their TL entries are the same number of
-#: timesteps old — the key property the compact engine's transition cache
-#: is built on (see :mod:`repro.core.engine`).
+#: timesteps old — the key property Algorithm 1's transition cache is
+#: built on (see :mod:`repro.core.engine`).
 RelativeDepartures = Tuple[Tuple[int, str], ...]
 
 #: The hashable node state used as a dict key during graph construction:
@@ -337,7 +337,7 @@ def departure_keep_mask(relative: RelativeDepartures, location: str, tau: int,
     ``location`` sources a TT constraint.  With a :class:`DepartureFilter`
     these decisions depend on absolute time (the filter prunes by the
     l-sequence's remaining support windows), so they cannot be derived from
-    relative ages alone — the compact engine widens its transition-cache
+    relative ages alone — Algorithm 1 widens its transition-cache
     keys by this mask, keeping memoisation exact instead of approximating.
     Without a filter the decisions are pure functions of the ages and the
     mask is uniformly 0 (no widening needed).

@@ -1,6 +1,6 @@
 """Optional-dependency placeholders (the ``repro[numpy]`` extra).
 
-The cleaning core — l-sequences, constraints, both engines, the flat
+The cleaning core — l-sequences, constraints, Algorithm 1, the flat
 query layer — is dependency-free.  The simulation, calibration and
 experiment layers use numpy when present; since the kernels PR numpy is
 an *optional extra*, so those modules bind their ``np`` through::

@@ -3,15 +3,16 @@
 Algorithm 1 does two kinds of work that depend only on the constraint set
 (and the location support of a timestep), not on the individual object:
 
-* the rule-2 (DU) filtering of a level's candidate locations — the same
-  ``(source location, support)`` row is recomputed for every level with
-  that support, of every object;
+* the interned node states and memoised transition rows of
+  :class:`~repro.core.engine.EngineCache` — the same
+  ``(state, support)`` row recurs at every level with that support, of
+  every object;
 * the static part of the analyzer pre-check (rules C001-C004 of
   :mod:`repro.analysis`), which inspects the constraints alone.
 
 :class:`SharedCleaningPlan` hoists both.  One plan serves every object
 cleaned under the same :class:`~repro.core.constraints.ConstraintSet`:
-``build_ct_graph(..., plan=plan)`` consults the plan's DU-row cache and
+``build_ct_graph(..., plan=plan)`` uses the plan's engine cache and
 lets the plan decide what the ``precheck`` option still has to do per
 object.  A plan never changes results — only where the bookkeeping lives —
 and is cheap to construct, so ``workers=1`` batches and per-process worker
@@ -108,7 +109,7 @@ class SharedCleaningPlan:
         self._du_rows: Dict[Tuple[str, Tuple[str, ...]],
                             FrozenSet[str]] = {}
         self._engine_cache = None
-        # Engine-routing advice per support signature (see advice_for).
+        # Static advice per support signature (see advice_for).
         self._advice: Dict[Tuple[bool, Tuple[Tuple[str, ...], ...]],
                            "EngineAdvice"] = {}
         # ``static_checked=True`` records that the constraints-only
@@ -144,7 +145,7 @@ class SharedCleaningPlan:
         return row
 
     # ------------------------------------------------------------------
-    # the compact engine's transition cache
+    # the interned states and transition rows of Algorithm 1
     # ------------------------------------------------------------------
     def engine_cache(self):
         """The plan's :class:`repro.core.engine.EngineCache`, built lazily.
@@ -161,17 +162,17 @@ class SharedCleaningPlan:
         return self._engine_cache
 
     # ------------------------------------------------------------------
-    # static engine-routing advice
+    # static advice
     # ------------------------------------------------------------------
     def advice_for(self, lsequence: LSequence, options) -> "EngineAdvice":
-        """Routing advice for one object, cached per support signature.
+        """:func:`repro.analysis.advisor.advise` for one object, cached per
+        support signature.
 
         The constraint envelope — and with it the advisor's verdict —
         depends only on the truncation policy and the per-level location
         supports, never on the probabilities, so periodic batch workloads
         (reader cycles, repeated schedules) hit one cached verdict for
-        thousands of objects.  Advice never changes results (the engines
-        are bit-exact); it only picks the cheaper builder.
+        thousands of objects.  Cleaning never consults it.
         """
         strict = bool(getattr(options, "strict_truncation", False))
         key = (strict,
@@ -193,7 +194,7 @@ class SharedCleaningPlan:
 
     @property
     def cached_advice(self) -> int:
-        """How many routing verdicts the plan has cached (observability)."""
+        """How many advice verdicts the plan has cached (observability)."""
         return len(self._advice)
 
     # ------------------------------------------------------------------

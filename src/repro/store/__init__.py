@@ -19,7 +19,7 @@ stream-checkpoint codec (:func:`write_stream_checkpoint` /
 :func:`read_stream_checkpoint`) used by
 :class:`repro.streaming.StreamingCleaner` for durable kill/resume.
 
-The engines write the format natively via
+Algorithm 1 writes the format natively via
 ``CleaningOptions(materialize="store", output=...)`` — see
 ``docs/store.md`` for the format spec, the mmap contract and the cache
 keying rules, and ``benchmarks/bench_store.py`` for the numbers.

@@ -24,9 +24,7 @@ iteration order with bit-exact (``float.hex``) probabilities, the
 constraint set (order-insensitive), ``truncated_stay_policy`` and
 ``backend`` (conservatively — backends agree to 1e-12 relative, not
 always bitwise), plus an optional caller ``extra`` salt (e.g. a map
-revision id).  The ``engine`` choice is deliberately *excluded*: the
-reference and compact engines are bit-exact by contract, so either may
-serve the other's cache entry.
+revision id).
 """
 
 from __future__ import annotations

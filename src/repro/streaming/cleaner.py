@@ -61,6 +61,7 @@ from repro.core.nodes import (
 from repro.errors import (
     InconsistentReadingsError,
     ReadingSequenceError,
+    ReproError,
     StoreFormatError,
     ZeroMassError,
 )
@@ -92,10 +93,10 @@ class StreamingCleaner:
     * :meth:`checkpoint` / :meth:`resume` persist and restore the whole
       session bit-exactly through the ``rfid-ctg/ckpt@1`` format;
     * with evicted prefix levels (``base > 0``) :meth:`finalize` builds
-      the window graph with the in-package reference construction —
-      ``options.engine``/``options.backend`` apply only while the
-      session still covers the full stream (``base == 0``, where the
-      call delegates to :func:`~repro.core.algorithm.build_ct_graph`).
+      the window graph with its own node-by-node construction —
+      ``options.backend`` applies only while the session still covers
+      the full stream (``base == 0``, where the call delegates to
+      :func:`~repro.core.algorithm.build_ct_graph`).
     """
 
     def __init__(self, constraints: ConstraintSet, *,
@@ -244,7 +245,7 @@ class StreamingCleaner:
     def _window_graph(self, options: CleaningOptions) -> FinalizedGraph:
         """Algorithm 1's backward conditioning over the retained window.
 
-        Mirrors the reference builder in :mod:`repro.core.algorithm`
+        Mirrors Algorithm 1 as :mod:`repro.core.algorithm` documents it
         (same sweep, same per-level rescaling, same source damping) with
         two differences dictated by the streaming setting: sources are
         the entry frontier's states with their stored forward mass as
@@ -444,7 +445,11 @@ class StreamingCleaner:
         next :meth:`extend` (``frontier_kernel`` seeds its table cache,
         e.g. a fleet's shared one).  Raises
         :class:`~repro.errors.StoreFormatError` /
-        :class:`~repro.errors.StoreChecksumError` on a damaged file.
+        :class:`~repro.errors.StoreChecksumError` on a damaged file,
+        including meta whose options or constraints do not validate.
+        Checkpoints written while :class:`CleaningOptions` still had an
+        ``engine`` field carry it in their options; it selected between
+        bit-identical builds, so it is dropped and they resume exactly.
         """
         from repro.io.jsonio import constraints_from_dicts
         from repro.store.format import read_stream_checkpoint
@@ -456,9 +461,11 @@ class StreamingCleaner:
             base = meta["base"]
             duration = meta["duration"]
             output_consumed = meta["output_consumed"]
-            options = CleaningOptions(**meta["options"])
+            fields = dict(meta["options"])
+            fields.pop("engine", None)
+            options = CleaningOptions(**fields)
             constraints = constraints_from_dicts(meta["constraints"])
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError, ReproError) as error:
             raise StoreFormatError(
                 f"{path}: checkpoint meta is missing or malformed "
                 f"({error})") from None

@@ -1,22 +1,17 @@
-"""Unit tests for the compact engine's building blocks: relative-age
-departure interning, the keep mask, engine selection, and the transition
-cache shared through :class:`SharedCleaningPlan`."""
+"""Unit tests for Algorithm 1's building blocks: relative-age departure
+interning, the keep mask, the one build path, and the transition cache
+shared through :class:`SharedCleaningPlan`."""
 
 import pytest
 
-from repro.core.algorithm import (
-    AUTO_COMPACT_MIN_DURATION,
-    CleaningOptions,
-    _resolve_engine,
-    build_ct_graph,
-)
+from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
     TravelingTime,
     Unreachable,
 )
-from repro.core.engine import EngineCache, build_ct_graph_compact
+from repro.core.engine import EngineCache
 from repro.core.lsequence import LSequence
 from repro.core.nodes import (
     DepartureFilter,
@@ -26,6 +21,7 @@ from repro.core.nodes import (
 )
 from repro.errors import ReadingSequenceError, ZeroMassError
 from repro.runtime.plan import SharedCleaningPlan
+from tests.reference_builder import build_ct_graph_reference
 
 CONSTRAINTS = ConstraintSet([
     Unreachable("A", "C"), Unreachable("C", "A"),
@@ -98,34 +94,23 @@ class TestDepartureKeepMask:
 
 
 class TestEngineSelection:
-    def test_resolve_explicit(self):
-        assert _resolve_engine("reference", 10_000) == "reference"
-        assert _resolve_engine("compact", 1) == "compact"
-
-    def test_resolve_auto_by_duration(self):
-        assert _resolve_engine(
-            "auto", AUTO_COMPACT_MIN_DURATION - 1) == "reference"
-        assert _resolve_engine(
-            "auto", AUTO_COMPACT_MIN_DURATION) == "compact"
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ReadingSequenceError):
-            CleaningOptions(engine="turbo")
+        # There is one Algorithm 1 build; the old selector is no option.
+        with pytest.raises(TypeError):
+            CleaningOptions(engine="compact")
 
     def test_auto_gives_the_reference_answer(self):
-        # Whatever auto picks, the distribution is the reference one
-        # (flat-form equality; enumerating paths would be exponential at
-        # the compact-engine durations).
-        for duration in (6, AUTO_COMPACT_MIN_DURATION + 5):
+        # The default call gives the oracle's distribution at short and
+        # long durations (flat-form equality; enumerating paths would be
+        # exponential at duration 53).
+        for duration in (6, 53):
             lsequence = _instance(duration)
-            auto = build_ct_graph(lsequence, CONSTRAINTS,
-                                  CleaningOptions(engine="auto"))
-            reference = build_ct_graph(lsequence, CONSTRAINTS,
-                                       CleaningOptions(engine="reference"))
-            auto_state = auto.__getstate__()
+            default = build_ct_graph(lsequence, CONSTRAINTS)
+            reference = build_ct_graph_reference(lsequence, CONSTRAINTS)
+            default_state = default.__getstate__()
             reference_state = reference.__getstate__()
             for key in ("levels", "edges", "sources"):
-                assert auto_state[key] == reference_state[key], key
+                assert default_state[key] == reference_state[key], key
 
 
 class TestEngineCache:
@@ -144,9 +129,7 @@ class TestEngineCache:
     def test_transition_rows_accumulate(self):
         cache = EngineCache(CONSTRAINTS)
         assert cache.cached_transitions == 0
-        build_ct_graph_compact(_instance(20), CONSTRAINTS,
-                               CleaningOptions(engine="compact"),
-                               plan=None)
+        build_ct_graph(_instance(20), CONSTRAINTS, plan=None)
         fresh = EngineCache(CONSTRAINTS)
         assert fresh.cached_transitions == 0
 
@@ -155,53 +138,57 @@ class TestEngineCache:
         cache = plan.engine_cache()
         assert cache is plan.engine_cache(), "cache must be created once"
         assert cache.cached_transitions == 0
-        build_ct_graph(_instance(60), CONSTRAINTS,
-                       CleaningOptions(engine="compact"), plan=plan)
+        build_ct_graph(_instance(60), CONSTRAINTS, plan=plan)
         warmed = cache.cached_transitions
         assert warmed > 0
         assert cache.interned_states > 0
         # A second object of a different duration reuses the rows.
-        build_ct_graph(_instance(61), CONSTRAINTS,
-                       CleaningOptions(engine="compact"), plan=plan)
+        build_ct_graph(_instance(61), CONSTRAINTS, plan=plan)
         assert cache.cached_transitions >= warmed
 
     def test_foreign_plan_rejected(self):
         plan = SharedCleaningPlan(ConstraintSet([Unreachable("X", "Y")]))
         with pytest.raises(ReadingSequenceError):
-            build_ct_graph_compact(_instance(8), CONSTRAINTS,
-                                   CleaningOptions(engine="compact"),
-                                   plan=plan)
+            build_ct_graph(_instance(8), CONSTRAINTS, plan=plan)
 
 
 class TestCompactEngineErrors:
     def test_zero_mass_at_source(self):
         constraints = ConstraintSet([Latency("A", 3)])
         poison = LSequence([{"A": 1.0}])
-        options = CleaningOptions("strict", engine="compact")
         with pytest.raises(ZeroMassError):
-            build_ct_graph_compact(poison, constraints, options)
+            build_ct_graph(poison, constraints, CleaningOptions("strict"))
 
     def test_zero_mass_mid_sequence(self):
         constraints = ConstraintSet([Unreachable("A", "C")])
         poison = LSequence([{"A": 1.0}, {"C": 1.0}])
         with pytest.raises(ZeroMassError):
-            build_ct_graph_compact(poison, constraints,
-                                   CleaningOptions(engine="compact"))
+            build_ct_graph(poison, constraints)
 
 
 class TestTimingStats:
     def test_both_engines_fill_phase_timings(self):
         lsequence = _instance(30)
-        for engine in ("reference", "compact"):
-            graph = build_ct_graph(lsequence, CONSTRAINTS,
-                                   CleaningOptions(engine=engine))
-            assert graph.stats.forward_seconds > 0.0, engine
-            assert graph.stats.backward_seconds > 0.0, engine
+        for build in (build_ct_graph, build_ct_graph_reference):
+            graph = build(lsequence, CONSTRAINTS)
+            assert graph.stats.forward_seconds > 0.0, build.__name__
+            assert graph.stats.backward_seconds > 0.0, build.__name__
+
+    @pytest.mark.parametrize("materialize", ["auto", "flat"])
+    @pytest.mark.parametrize("duration", [2, 6, 30])
+    def test_default_build_fills_every_phase_timing(self, duration,
+                                                    materialize):
+        # Small instances included: every default build runs the one
+        # Algorithm 1 path, so the sweep slice is always measured.
+        graph = build_ct_graph(_instance(duration), CONSTRAINTS,
+                               CleaningOptions(materialize=materialize))
+        assert graph.stats.forward_seconds > 0.0
+        assert graph.stats.backward_seconds > 0.0
+        assert graph.stats.sweep_seconds > 0.0
 
     def test_timings_do_not_break_stats_equality(self):
         lsequence = _instance(30)
-        options = CleaningOptions(engine="compact")
-        first = build_ct_graph(lsequence, CONSTRAINTS, options)
-        second = build_ct_graph(lsequence, CONSTRAINTS, options)
+        first = build_ct_graph(lsequence, CONSTRAINTS)
+        second = build_ct_graph(lsequence, CONSTRAINTS)
         assert first.stats == second.stats
         assert first.stats.forward_seconds != 0.0

@@ -1,13 +1,15 @@
-"""Property-based bit-exactness: the compact engine == the reference
-builder, on randomly generated instances.
+"""Property-based bit-exactness: ``build_ct_graph`` == the reference
+builder oracle (``tests/reference_builder.py``), on randomly generated
+instances.
 
-``test_algorithm_vs_naive`` pins the reference builder to exact
-enumeration; this suite pins :mod:`repro.core.engine` to the reference
-builder — not approximately, *bitwise*: the flat (pickle) forms of the
-two graphs must be equal (every path, every float), the construction
-counters must agree, and zero-mass inputs must fail identically.  Random
-map plans (``random_building`` + ``infer_constraints``) cover inferred
-constraint sets beyond the hand-written strategies.
+``test_algorithm_vs_naive`` pins ``build_ct_graph`` to exact
+enumeration; this suite pins it to the node-by-node transcription of
+Algorithm 1 — not approximately, *bitwise*: the pickle states and the
+flat forms of the two graphs must be equal (every path, every float),
+the construction counters must agree, and zero-mass inputs must fail
+identically.  Random map plans (``random_building`` +
+``infer_constraints``) cover inferred constraint sets beyond the
+hand-written strategies.
 """
 
 import pytest
@@ -30,6 +32,7 @@ from repro.errors import InconsistentReadingsError
 from repro.inference import MotilityProfile, infer_constraints
 from repro.mapmodel.random_plans import random_building
 from repro.runtime.plan import SharedCleaningPlan
+from tests.reference_builder import build_ct_graph_reference
 
 LOCATIONS = ("A", "B", "C", "D")
 
@@ -93,22 +96,20 @@ def _flat(graph):
 
 
 def _assert_engines_agree(lsequence, constraints, strict, *, plan=None):
-    options_reference = CleaningOptions("strict" if strict else "lenient",
-                                        engine="reference")
-    options_compact = CleaningOptions("strict" if strict else "lenient",
-                                      engine="compact")
+    """The default ``build_ct_graph`` call against the oracle."""
+    options = CleaningOptions("strict" if strict else "lenient")
     try:
-        reference = build_ct_graph(lsequence, constraints, options_reference)
+        reference = build_ct_graph_reference(lsequence, constraints, options)
     except InconsistentReadingsError as error:
         with pytest.raises(type(error)):
-            build_ct_graph(lsequence, constraints, options_compact,
-                           plan=plan)
+            build_ct_graph(lsequence, constraints, options, plan=plan)
         return
-    compact = build_ct_graph(lsequence, constraints, options_compact,
-                             plan=plan)
-    assert _flat(reference) == _flat(compact), \
-        "compact engine diverged from the reference builder"
-    assert reference.stats == compact.stats, \
+    built = build_ct_graph(lsequence, constraints, options, plan=plan)
+    assert _flat(reference) == _flat(built), \
+        "build_ct_graph diverged from the reference builder"
+    assert reference.to_flat() == built.to_flat(), \
+        "flat forms diverged"
+    assert reference.stats == built.stats, \
         "construction counters diverged"
 
 

@@ -4,8 +4,8 @@ The load-bearing property suite: for random instances the C007 envelope
 width must dominate the actual per-level width of the built
 ``FlatCTGraph`` while staying under C006's product bound, and a C009
 zero-level verdict must imply ``build_ct_graph`` raising
-``ZeroMassError``.  Plus direct unit coverage of the advisor hook and the
-``engine="auto"`` routing path.
+``ZeroMassError``.  Plus direct unit coverage of the advisor, which
+``build_ct_graph`` never consults.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze
-from repro.analysis.advisor import (
-    AUTO_COMPACT_MIN_STATES,
-    EngineAdvice,
-    advise,
-    recommend_options,
-)
+from repro.analysis.advisor import EngineAdvice, advise, recommend_options
 from repro.analysis.envelope import ConstraintEnvelope, estimate_graph_bytes
 from repro.analysis.rules import ctgraph_size_bounds
 from repro.core.algorithm import CleaningOptions, build_ct_graph
@@ -33,6 +28,7 @@ from repro.core.constraints import (
 from repro.core.lsequence import LSequence
 from repro.errors import ZeroMassError
 from repro.runtime import SharedCleaningPlan
+from tests.reference_builder import build_ct_graph_reference
 
 _LOCATIONS = ("A", "B", "C")
 
@@ -80,9 +76,9 @@ def test_envelope_width_is_sound_and_tighter_than_c006(instance):
     # collapse to zero past the empty level).
     assert all(w <= c for w, c in zip(widths, c006))
     try:
-        graph = build_ct_graph(
+        graph = build_ct_graph_reference(
             lsequence, constraints,
-            CleaningOptions(engine="reference", materialize="flat",
+            CleaningOptions(materialize="flat",
                             truncated_stay_policy=policy))
     except ZeroMassError:
         # Emptiness may or may not be provable abstractly (C005 is the
@@ -99,23 +95,26 @@ def test_envelope_width_is_sound_and_tighter_than_c006(instance):
 @settings(max_examples=200, deadline=None)
 @given(small_instances())
 def test_auto_routing_is_bit_exact_with_both_engines(instance):
-    """recommend_options never changes results, only the engine choice."""
+    """``backend="auto"`` — resolved statically by recommend_options or by
+    the build from its measured edges — never changes results: both
+    builds match the oracle."""
     lsequence, constraints, strict = instance
     policy = "strict" if strict else "lenient"
-    base = CleaningOptions(truncated_stay_policy=policy, materialize="flat")
+    base = CleaningOptions(truncated_stay_policy=policy, materialize="flat",
+                           backend="auto")
     routed = recommend_options(lsequence, constraints, base)
-    assert routed.engine in ("reference", "compact")
+    assert routed.backend in ("python", "numpy")
     try:
-        reference = build_ct_graph(
+        reference = build_ct_graph_reference(
             lsequence, constraints,
-            CleaningOptions(engine="reference", materialize="flat",
+            CleaningOptions(materialize="flat",
                             truncated_stay_policy=policy))
     except ZeroMassError:
         with pytest.raises(ZeroMassError):
             build_ct_graph(lsequence, constraints, base)
         return
-    auto = build_ct_graph(lsequence, constraints, base)
-    assert auto == reference
+    assert build_ct_graph(lsequence, constraints, base) == reference
+    assert build_ct_graph(lsequence, constraints, routed) == reference
 
 
 class TestEnvelope:
@@ -182,39 +181,44 @@ class TestEnvelope:
 class TestAdvisor:
     CONSTRAINTS = TestEnvelope.CONSTRAINTS
 
-    def test_small_instance_routes_to_reference(self):
+    def test_small_instance_advice(self):
         ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
         advice = advise(ls, self.CONSTRAINTS)
         assert isinstance(advice, EngineAdvice)
-        assert advice.engine == "reference"
-        assert advice.predicted_states < AUTO_COMPACT_MIN_STATES
+        assert advice.materialize == "nodes"
+        assert advice.backend == "python"
+        assert not advice.zero_mass
+        assert 0 < advice.predicted_states <= 4 * advice.peak_level_width
         assert advice.predicted_flat_bytes < advice.predicted_node_bytes
 
-    def test_wide_instance_routes_to_compact(self):
+    def test_wide_instance_advice(self):
+        small = advise(LSequence([{"A": 0.5, "B": 0.5}] * 4),
+                       self.CONSTRAINTS)
         ls = LSequence([{"A": 0.4, "B": 0.35, "C": 0.25},
                         {"B": 0.55, "D": 0.45},
                         {"B": 0.3, "C": 0.4, "D": 0.3},
                         {"A": 0.65, "B": 0.35}] * 30)
         advice = advise(ls, self.CONSTRAINTS)
-        assert advice.engine == "compact"
-        assert advice.predicted_states >= AUTO_COMPACT_MIN_STATES
+        assert advice.duration == 120
+        assert advice.predicted_states > small.predicted_states
+        assert advice.predicted_node_bytes > small.predicted_node_bytes
 
     def test_recommend_options_respects_explicit_choice(self):
         ls = LSequence([{"A": 1.0}] * 200)
-        explicit = CleaningOptions(engine="reference")
+        explicit = CleaningOptions(backend="numpy")
         assert recommend_options(ls, self.CONSTRAINTS, explicit) is explicit
 
     def test_recommend_options_resolves_auto(self):
         ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
-        routed = recommend_options(ls, self.CONSTRAINTS)
-        assert routed.engine == "reference"
+        routed = recommend_options(ls, self.CONSTRAINTS,
+                                   CleaningOptions(backend="auto"))
+        assert routed.backend == "python"
         assert routed.materialize == "auto"  # untouched
 
-    def test_zero_mass_instances_route_to_reference(self):
+    def test_zero_mass_instances_are_flagged(self):
         ls = LSequence([{"A": 1.0}, {"D": 1.0}])
         advice = advise(ls, self.CONSTRAINTS)
         assert advice.zero_mass
-        assert advice.engine == "reference"
         assert "ZeroMassError" in advice.reason
 
 
@@ -242,7 +246,8 @@ class TestPlanAdviceCache:
             ls, CleaningOptions(truncated_stay_policy="strict"))
         assert plan.cached_advice == 2
 
-    def test_build_ct_graph_routes_through_the_plan(self, monkeypatch):
+    def test_build_ct_graph_never_asks_the_plan_for_advice(self,
+                                                           monkeypatch):
         plan = SharedCleaningPlan(self.CONSTRAINTS)
         ls = LSequence([{"A": 0.5, "B": 0.5}] * 3)
         seen = []
@@ -253,12 +258,12 @@ class TestPlanAdviceCache:
             return original(lsequence, options)
 
         monkeypatch.setattr(plan, "advice_for", spy)
-        graph = build_ct_graph(ls, self.CONSTRAINTS, CleaningOptions(),
-                               plan=plan)
-        assert seen == [ls]
-        plain = build_ct_graph(ls, self.CONSTRAINTS,
-                               CleaningOptions(engine="reference"))
-        assert graph.to_flat() == plain.to_flat()
+        graph = build_ct_graph(
+            ls, self.CONSTRAINTS, CleaningOptions(backend="auto"),
+            plan=plan)
+        assert seen == []
+        reference = build_ct_graph_reference(ls, self.CONSTRAINTS)
+        assert graph.to_flat() == reference.to_flat()
 
 
 class TestAdviseReport:
@@ -270,7 +275,9 @@ class TestAdviseReport:
         assert "C010" not in {d.code for d in plain}
         advised = analyze(self.CONSTRAINTS, readings=ls, advise=True)
         (c010,) = advised.by_code("C010")
-        assert c010.data["engine"] == "reference"
+        assert "engine" not in c010.data
+        assert c010.data["materialize"] == "nodes"
+        assert c010.data["backend"] == "python"
         assert c010.data["predicted_states"] > 0
 
     def test_c007_reports_tightening(self):

@@ -34,6 +34,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.queries.session import QuerySession
+from tests.reference_builder import build_ct_graph_reference
 
 needs_numpy = pytest.mark.skipif(not kernels.numpy_available(),
                                  reason="numpy backend unavailable")
@@ -42,10 +43,8 @@ LOCATIONS = ("A", "B", "C", "D")
 
 locations = st.sampled_from(LOCATIONS)
 
-FLAT_NUMPY = CleaningOptions(engine="compact", materialize="flat",
-                             backend="numpy")
-FLAT_PYTHON = CleaningOptions(engine="compact", materialize="flat",
-                              backend="python")
+FLAT_NUMPY = CleaningOptions(materialize="flat", backend="numpy")
+FLAT_PYTHON = CleaningOptions(materialize="flat", backend="python")
 
 
 @st.composite
@@ -178,7 +177,7 @@ class TestGraphViews:
 
 
 # ----------------------------------------------------------------------
-# engine parity (numpy flat builds vs the python oracle)
+# build parity (numpy and auto flat builds vs the reference oracle)
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestEngineParity:
@@ -186,7 +185,8 @@ class TestEngineParity:
     @given(lsequences(), constraint_sets())
     def test_flat_builds_bit_exact(self, lsequence, constraints):
         try:
-            oracle = build_ct_graph(lsequence, constraints, FLAT_PYTHON)
+            oracle = build_ct_graph_reference(lsequence, constraints,
+                                              FLAT_PYTHON)
         except InconsistentReadingsError:
             with pytest.raises(InconsistentReadingsError):
                 build_ct_graph(lsequence, constraints, FLAT_NUMPY)
@@ -210,11 +210,11 @@ class TestEngineParity:
             rows.append({name: w / total for name, w in weights.items()})
         lsequence = LSequence(rows)
         constraints = ConstraintSet([Unreachable(names[0], names[1])])
-        oracle = build_ct_graph(lsequence, constraints, FLAT_PYTHON)
+        oracle = build_ct_graph_reference(lsequence, constraints,
+                                          FLAT_PYTHON)
         auto = build_ct_graph(
             lsequence, constraints,
-            CleaningOptions(engine="compact", materialize="flat",
-                            backend="auto"))
+            CleaningOptions(materialize="flat", backend="auto"))
         assert auto == oracle
         assert auto.stats == oracle.stats
 

@@ -5,9 +5,9 @@ identically — not approximately, *bitwise*:
 
 * the ``CTGraph`` object path (``repro.queries.analytics`` et al.),
 * a ``QuerySession`` over ``CTGraph.to_flat()``,
-* a ``QuerySession`` over an engine-native flat build
-  (``CleaningOptions(materialize="flat")``), for both the reference and
-  the compact engine.
+* a ``QuerySession`` over a native flat build
+  (``CleaningOptions(materialize="flat")``), for both ``build_ct_graph``
+  and the reference builder oracle (``tests/reference_builder.py``).
 
 The suite reuses the random-instance strategies of
 ``test_engine_vs_reference`` (random supports include zero-mass-pruned
@@ -42,6 +42,7 @@ from repro.queries import (
 from repro.queries.session import QuerySession
 from repro.queries.trajectory import TrajectoryQuery
 
+from tests.reference_builder import build_ct_graph_reference
 from tests.test_engine_vs_reference import (
     LOCATIONS,
     constraint_sets,
@@ -51,24 +52,23 @@ from tests.test_engine_vs_reference import (
 
 QUERY_LOCATIONS = LOCATIONS + ("Z",)  # "Z" never appears in any graph
 
+FLAT = CleaningOptions(materialize="flat")
+
+BUILDERS = (build_ct_graph_reference, build_ct_graph)
+
 
 def _build_all_forms(lsequence, constraints):
     """The node graph plus its three flat forms, or None on zero mass."""
     try:
-        nodes = build_ct_graph(lsequence, constraints,
-                               CleaningOptions(engine="reference"))
+        nodes = build_ct_graph(lsequence, constraints)
     except InconsistentReadingsError as error:
-        for engine in ("reference", "compact"):
+        for build in BUILDERS:
             with pytest.raises(type(error)):
-                build_ct_graph(lsequence, constraints,
-                               CleaningOptions(engine=engine,
-                                               materialize="flat"))
+                build(lsequence, constraints, FLAT)
         return None
     flats = [nodes.to_flat()]
-    for engine in ("reference", "compact"):
-        flats.append(build_ct_graph(
-            lsequence, constraints,
-            CleaningOptions(engine=engine, materialize="flat")))
+    for build in BUILDERS:
+        flats.append(build(lsequence, constraints, FLAT))
     return nodes, flats
 
 
@@ -109,7 +109,7 @@ def test_query_parity_on_random_instances(lsequence, constraints):
     if forms is None:
         return
     nodes, flats = forms
-    # All flat forms are one value: to_flat == engine-native (both engines).
+    # All flat forms are one value: to_flat == native (both builders).
     assert flats[0] == flats[1] == flats[2]
     flats[0].validate()
     _assert_query_parity(nodes, flats[0])
@@ -244,12 +244,8 @@ def test_session_rejects_out_of_range_queries():
 def test_flat_equality_ignores_stats():
     lsequence = LSequence([{"A": 1.0}, {"A": 0.6, "B": 0.4}])
     constraints = ConstraintSet([Unreachable("A", "C")])
-    reference = build_ct_graph(
-        lsequence, constraints,
-        CleaningOptions(engine="reference", materialize="flat"))
-    compact = build_ct_graph(
-        lsequence, constraints,
-        CleaningOptions(engine="compact", materialize="flat"))
+    reference = build_ct_graph_reference(lsequence, constraints, FLAT)
+    built = build_ct_graph(lsequence, constraints, FLAT)
     assert isinstance(reference, FlatCTGraph)
-    assert isinstance(compact, FlatCTGraph)
-    assert reference == compact  # stats differ (compare=False), values equal
+    assert isinstance(built, FlatCTGraph)
+    assert reference == built  # stats differ (compare=False), values equal

@@ -13,6 +13,7 @@ from repro.core.constraints import (
 from repro.core.lsequence import LSequence, ReadingSequence
 from repro.errors import ReadingSequenceError, ZeroMassError
 from repro.runtime import BatchCleaner, SharedCleaningPlan, clean_many
+from tests.reference_builder import build_ct_graph_reference
 
 CONSTRAINTS = ConstraintSet([
     Unreachable("A", "C"), Unreachable("C", "A"),
@@ -180,16 +181,15 @@ class TestSharedPlan:
 
     def test_build_ct_graph_canonicalises_plan_support(self):
         # Two l-sequences whose levels list the same support in different
-        # candidate orders share the plan rows — and stay bit-identical
-        # to the plan-less build.
+        # candidate orders share the plan's DU rows in the reference
+        # oracle — and stay bit-identical to the default build.
         plan = SharedCleaningPlan(CONSTRAINTS)
         forward = LSequence([{"A": 1.0}, {"A": 0.5, "B": 0.3, "D": 0.2}])
         reversed_ = LSequence([{"A": 1.0}, {"D": 0.2, "B": 0.3, "A": 0.5}])
-        options = CleaningOptions(engine="reference")
         for lsequence in (forward, reversed_):
-            with_plan = build_ct_graph(lsequence, CONSTRAINTS,
-                                       options, plan=plan)
-            without = build_ct_graph(lsequence, CONSTRAINTS, options)
+            with_plan = build_ct_graph_reference(lsequence, CONSTRAINTS,
+                                                 plan=plan)
+            without = build_ct_graph(lsequence, CONSTRAINTS)
             assert with_plan.__getstate__()["edges"] == \
                 without.__getstate__()["edges"]
         assert plan.cached_rows == 1
@@ -200,7 +200,7 @@ class TestSharedPlan:
             with_plan = build_ct_graph(lsequence, CONSTRAINTS, plan=plan)
             without = build_ct_graph(lsequence, CONSTRAINTS)
             assert list(with_plan.paths()) == list(without.paths())
-        assert plan.cached_rows > 0
+        assert plan.engine_cache().cached_transitions > 0
 
     def test_foreign_plan_rejected(self, workload):
         plan = SharedCleaningPlan(ConstraintSet([Unreachable("X", "Y")]))

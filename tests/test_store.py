@@ -3,10 +3,11 @@
 Four layers are pinned here:
 
 * the codec — build → ``save_ctg`` → ``load_ctg`` reproduces the exact
-  :class:`FlatCTGraph` (hypothesis, both engines x both backends, mmap
+  :class:`FlatCTGraph` (hypothesis, ``build_ct_graph`` and the reference
+  oracle x both backends, mmap
   and bytes backings), and every structural corruption raises a typed
   :class:`StoreError` rather than an ``AttributeError``/``struct.error``;
-* the engine sink — ``CleaningOptions(output=...)`` writes the arrays
+* the build sink — ``CleaningOptions(output=...)`` writes the arrays
   straight to disk and the served view answers every ``QuerySession``
   bundle identically to the in-memory graph;
 * the cache — :class:`GraphStore` keys by problem content (sensitive to
@@ -51,6 +52,7 @@ from repro.store import (
     save_ctg,
     write_ctg,
 )
+from tests.reference_builder import build_ct_graph_reference
 
 try:
     import numpy  # noqa: F401 - availability probe
@@ -61,7 +63,8 @@ except ImportError:  # pragma: no cover - the no-numpy CI leg
 LOCATIONS = ("A", "B", "C", "D")
 locations = st.sampled_from(LOCATIONS)
 
-ENGINES = ("reference", "compact")
+#: Both Algorithm 1 builds, by the name the parametrised tests print.
+BUILDERS = {"reference": build_ct_graph_reference, "compact": build_ct_graph}
 BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 
@@ -130,14 +133,13 @@ def query_bundle(graph, backend="python"):
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(lsequences(), constraint_sets(),
-           st.sampled_from(ENGINES), st.sampled_from(BACKENDS))
+           st.sampled_from(sorted(BUILDERS)), st.sampled_from(BACKENDS))
     def test_save_load_reproduces_flat_graph(self, tmp_path_factory,
                                              lsequence, constraints,
                                              engine, backend):
-        options = CleaningOptions(engine=engine, backend=backend,
-                                  materialize="flat")
+        options = CleaningOptions(backend=backend, materialize="flat")
         try:
-            flat = build_ct_graph(lsequence, constraints, options)
+            flat = BUILDERS[engine](lsequence, constraints, options)
         except InconsistentReadingsError:
             return
         path = tmp_path_factory.mktemp("ctg") / "graph.ctg"
@@ -151,14 +153,13 @@ class TestRoundTrip:
 
     @settings(max_examples=40, deadline=None)
     @given(lsequences(), constraint_sets(),
-           st.sampled_from(ENGINES), st.sampled_from(BACKENDS))
+           st.sampled_from(sorted(BUILDERS)), st.sampled_from(BACKENDS))
     def test_mmap_sessions_answer_identically(self, tmp_path_factory,
                                               lsequence, constraints,
                                               engine, backend):
-        options = CleaningOptions(engine=engine, backend=backend,
-                                  materialize="flat")
+        options = CleaningOptions(backend=backend, materialize="flat")
         try:
-            flat = build_ct_graph(lsequence, constraints, options)
+            flat = BUILDERS[engine](lsequence, constraints, options)
         except InconsistentReadingsError:
             return
         path = tmp_path_factory.mktemp("ctg") / "graph.ctg"
@@ -166,17 +167,16 @@ class TestRoundTrip:
         with load_ctg(path) as view:
             assert query_bundle(view, backend) == query_bundle(flat, backend)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", list(BUILDERS))
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_writes_ctg_directly(self, tmp_path, engine, backend):
         lsequence, constraints = small_instance()
-        flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(engine=engine, backend=backend,
-                                              materialize="flat"))
+        build = BUILDERS[engine]
+        flat = build(lsequence, constraints,
+                     CleaningOptions(backend=backend, materialize="flat"))
         path = tmp_path / "direct.ctg"
-        view = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(engine=engine, backend=backend,
-                                              output=str(path)))
+        view = build(lsequence, constraints,
+                     CleaningOptions(backend=backend, output=str(path)))
         assert isinstance(view, MappedCTGraph)
         assert view.materialize() == flat
         assert view.trajectory_probability(("B", "A", "B")) == \
@@ -326,9 +326,6 @@ class TestGraphStore:
         assert base != content_key(lsequence, constraints, extra="v2")
         other = LSequence([{"A": 0.6, "B": 0.4}])
         assert base != content_key(other, constraints)
-        # Engine choice is excluded: both engines are bit-exact.
-        assert base == content_key(
-            lsequence, constraints, CleaningOptions(engine="compact"))
 
 
 # ----------------------------------------------------------------------

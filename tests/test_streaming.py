@@ -273,12 +273,64 @@ class TestCheckpointResume:
         with pytest.raises(ReadingSequenceError, match="collide"):
             cleaner.checkpoint(path, extra_meta={"window": 9})
 
+    def test_pre_removal_engine_option_resumes_bit_identically(
+            self, constraints, tmp_path):
+        # Checkpoints written while CleaningOptions had an ``engine`` field
+        # store it (as "auto" unless set) among their options, in field
+        # order; such a file must resume and continue exactly.
+        rows = [{"A": 0.5, "B": 0.5}, {"B": 0.6, "D": 0.4},
+                {"B": 0.5, "D": 0.5}, {"A": 0.3, "B": 0.7},
+                {"B": 1.0}, {"B": 0.2, "C": 0.8}]
+        uninterrupted = StreamingCleaner(constraints, window=3)
+        killed = StreamingCleaner(constraints, window=3)
+        for row in rows[:4]:
+            uninterrupted.extend(row)
+            killed.extend(row)
+        path = tmp_path / "legacy.ckpt"
+        killed.checkpoint(path)
+        options = read_stream_checkpoint(path).meta["options"]
+        legacy = {"truncated_stay_policy": options["truncated_stay_policy"],
+                  "precheck": options["precheck"], "engine": "auto",
+                  "materialize": options["materialize"],
+                  "backend": options["backend"], "output": options["output"]}
+        _rewrite_options(path, legacy)
+        resumed = StreamingCleaner.resume(path)
+        assert resumed.options == CleaningOptions()
+        for row in rows[4:]:
+            uninterrupted.extend(row)
+            resumed.extend(row)
+        assert resumed.filtered_distribution() == \
+            uninterrupted.filtered_distribution()
+        assert resumed.finalize().__getstate__() == \
+            uninterrupted.finalize().__getstate__()
+
+    @pytest.mark.parametrize("options", [{"backend": "gpu"},
+                                         {"materialize": "bogus"},
+                                         {"turbo": True}])
+    def test_invalid_options_are_a_format_error(self, constraints, tmp_path,
+                                                options):
+        cleaner = StreamingCleaner(constraints, window=2)
+        cleaner.extend({"A": 1.0})
+        path = tmp_path / "s.ckpt"
+        cleaner.checkpoint(path)
+        _rewrite_options(path, options)
+        with pytest.raises(StoreFormatError, match="s.ckpt"):
+            StreamingCleaner.resume(path)
+
     def test_malformed_meta_is_a_format_error(self, constraints, tmp_path):
         path = tmp_path / "s.ckpt"
         write_stream_checkpoint(path, meta={"nonsense": True},
                                 location_names=[], rows=[], frontiers=[])
         with pytest.raises(StoreFormatError, match="missing or malformed"):
             StreamingCleaner.resume(path)
+
+
+def _rewrite_options(path, options):
+    """Re-publish the checkpoint at ``path`` with other meta options."""
+    payload = read_stream_checkpoint(path)
+    write_stream_checkpoint(path, meta=dict(payload.meta, options=options),
+                            location_names=payload.location_names,
+                            rows=payload.rows, frontiers=payload.frontiers)
 
 
 # ----------------------------------------------------------------------
