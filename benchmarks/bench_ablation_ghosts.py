@@ -20,6 +20,7 @@ from repro.errors import InconsistentReadingsError
 from repro.experiments.report import format_table
 from repro.inference import infer_constraints
 from repro.queries.accuracy import stay_accuracy
+from repro.queries.session import QuerySession
 from repro.queries.stay import stay_query, stay_query_prior
 from repro.rfid.priors import PriorModel
 from repro.simulation.readings import ReadingGenerator
@@ -35,13 +36,13 @@ def _score(truths, readings_per_truth, prior, constraints):
             raw_scores.append(stay_accuracy(
                 stay_query_prior(lsequence, tau), truth.locations[tau]))
         try:
-            graph = build_ct_graph(lsequence, constraints)
+            session = QuerySession(build_ct_graph(lsequence, constraints))
         except InconsistentReadingsError:
             failures += 1
             continue
         for tau in range(0, truth.duration, 3):
             cleaned_scores.append(stay_accuracy(
-                stay_query(graph, tau), truth.locations[tau]))
+                stay_query(session, tau), truth.locations[tau]))
     return (float(np.mean(raw_scores)),
             float(np.mean(cleaned_scores)) if cleaned_scores else float("nan"),
             failures)

@@ -17,6 +17,7 @@ from repro.core.lsequence import LSequence
 from repro.experiments.report import format_table
 from repro.inference import MotilityProfile, infer_constraints
 from repro.queries.accuracy import stay_accuracy
+from repro.queries.session import QuerySession
 from repro.queries.stay import stay_query, stay_query_prior
 from repro.rfid.priors import PriorModel
 
@@ -26,12 +27,12 @@ def _mean_accuracy(dataset, prior, constraints) -> tuple:
     for trajectory in dataset.all_trajectories():
         truth = trajectory.truth.locations
         lsequence = LSequence.from_readings(trajectory.readings, prior)
-        graph = build_ct_graph(lsequence, constraints)
+        session = QuerySession(build_ct_graph(lsequence, constraints))
         for tau in range(0, trajectory.duration, 2):
             raw_scores.append(stay_accuracy(
                 stay_query_prior(lsequence, tau), truth[tau]))
             cleaned_scores.append(stay_accuracy(
-                stay_query(graph, tau), truth[tau]))
+                stay_query(session, tau), truth[tau]))
     return float(np.mean(raw_scores)), float(np.mean(cleaned_scores))
 
 

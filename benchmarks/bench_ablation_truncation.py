@@ -18,6 +18,7 @@ from repro.errors import InconsistentReadingsError
 from repro.experiments.report import format_table
 from repro.inference import infer_constraints
 from repro.queries.accuracy import stay_accuracy
+from repro.queries.session import QuerySession
 from repro.queries.stay import stay_query
 
 
@@ -41,8 +42,9 @@ def test_truncation_policy_ablation(benchmark, syn1, profile, capsys):
                     inconsistent += 1
                     continue
                 nodes.append(graph.num_nodes)
+                session = QuerySession(graph)
                 scores.extend(
-                    stay_accuracy(stay_query(graph, tau), truth[tau])
+                    stay_accuracy(stay_query(session, tau), truth[tau])
                     for tau in range(0, trajectory.duration, 3))
             results[policy] = (float(np.mean(nodes)) if nodes else 0.0,
                                float(np.mean(scores)) if scores else 0.0,

@@ -31,6 +31,7 @@ from repro.errors import InconsistentReadingsError
 from repro.experiments.report import format_table
 from repro.inference import infer_constraints
 from repro.queries.accuracy import stay_accuracy
+from repro.queries.session import QuerySession
 from repro.queries.stay import stay_query, stay_query_prior
 
 
@@ -78,15 +79,17 @@ def test_baseline_comparison(benchmark, syn1, profile, capsys):
             started = time.perf_counter()
             beamed = BeamCleaner(constraints, beam_width=16).build(lsequence)
             seconds["BEAM"] += time.perf_counter() - started
+            beamed_session = QuerySession(beamed)
             scores["BEAM"].extend(
-                stay_accuracy(stay_query(beamed, tau), truth[tau])
+                stay_accuracy(stay_query(beamed_session, tau), truth[tau])
                 for tau in taus)
 
             started = time.perf_counter()
             graph = build_ct_graph(lsequence, constraints)
             seconds["CTG"] += time.perf_counter() - started
+            session = QuerySession(graph)
             scores["CTG"].extend(
-                stay_accuracy(stay_query(graph, tau), truth[tau])
+                stay_accuracy(stay_query(session, tau), truth[tau])
                 for tau in taus)
         return ({name: float(np.mean(values)) if values else float("nan")
                  for name, values in scores.items()}, seconds)

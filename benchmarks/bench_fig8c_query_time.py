@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.algorithm import build_ct_graph
+from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.lsequence import LSequence
 from repro.experiments.harness import (
     CONSTRAINT_CONFIGS,
@@ -19,7 +19,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.report import query_time_table
 from repro.experiments.workloads import random_trajectory_queries
-from repro.queries.stay import stay_query
+from repro.queries.session import QuerySession
 from repro.queries.trajectory import TrajectoryQuery
 
 _CONFIG_ITEMS = list(CONSTRAINT_CONFIGS.items())
@@ -32,7 +32,8 @@ def graphs(syn1, constraint_cache):
     trajectory = syn1.trajectories[duration][0]
     lsequence = LSequence.from_readings(trajectory.readings, syn1.prior)
     return {
-        name: build_ct_graph(lsequence, constraint_cache(syn1, kinds))
+        name: build_ct_graph(lsequence, constraint_cache(syn1, kinds),
+                             CleaningOptions(materialize="flat"))
         for name, kinds in _CONFIG_ITEMS
     }
 
@@ -43,8 +44,8 @@ def test_stay_query_time(benchmark, graphs, config_name):
     taus = list(range(0, graph.duration, max(1, graph.duration // 16)))
 
     def workload():
-        graph._node_marginals = None      # pay the real forward-pass cost
-        return [stay_query(graph, tau) for tau in taus]
+        session = QuerySession(graph)     # pay the real forward-pass cost
+        return [session.location_marginal(tau) for tau in taus]
 
     benchmark.pedantic(workload, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info["config"] = config_name

@@ -1,24 +1,30 @@
-"""Node-path vs. flat ``QuerySession``: many-queries-per-graph speedup.
+"""Oracle node DPs vs. the production ``QuerySession``: parity and speed.
 
-The flat query engine (:class:`repro.core.flatgraph.FlatCTGraph` +
-:class:`repro.queries.session.QuerySession`) must be *bit-identical* to
-the ``CTGraph`` object-path query functions — this bench both asserts
-that (every statement's value compared across paths) and records how
-much faster the flat pipeline answers a realistic analysis session:
-clean one long periodic l-sequence, then ask eleven questions of it
-(marginals, entropy, visit/first-visit/span, a pattern match, the MAP
-trajectory and the top-10 trajectories).
+Every query has one production implementation, the
+:class:`repro.queries.session.QuerySession` method over the flat
+columns.  This bench holds it *bit-identical* to the independent
+``CTNode``-walking DPs the tests keep as their oracle
+(``tests/reference_queries.py``) — every statement's value compared
+across the legs — and records how much faster production answers a
+realistic analysis session: clean one long periodic l-sequence, then ask
+eleven questions of it (marginals, entropy, visit/first-visit/span, a
+pattern match, the MAP trajectory and the top-10 trajectories).
 
-* **node path** — the default ``build_ct_graph`` call materialising
-  ``CTNode`` objects, each statement answered by the object-path
-  query functions (``repro.queries.ql.execute`` on the ``CTGraph``);
-* **flat path** — the same cleaning with ``materialize="flat"`` (no
+* **node leg** — the default ``build_ct_graph`` call materialising
+  ``CTNode`` objects, each statement answered by the oracle
+  (``execute_reference`` of ``tests/reference_queries.py``);
+* **flat leg** — the same cleaning with ``materialize="flat"`` (no
   ``CTNode`` is ever built), all statements answered through one shared
-  :class:`~repro.queries.session.QuerySession`.
+  :class:`~repro.queries.session.QuerySession` via
+  ``repro.queries.ql.execute``.
 
-Both sides run the same Algorithm 1 build, so the measured gap is the
+Both legs run the same Algorithm 1 build, so the measured gap is the
 query layer + materialisation, not the build (``bench_engine`` covers
 that).  Also records ``estimate_size_bytes()`` for both forms.
+
+Because the node leg is the independent oracle, ``parity`` compares
+production against a second implementation, not the session against
+itself.
 
 Since schema v3 the sweep carries a **backend axis** (``--backend``, the
 flat pipeline's ``QuerySession(backend=...)``) and a **kernel block**: a
@@ -56,6 +62,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import kernels
@@ -70,9 +77,12 @@ from repro.core.lsequence import LSequence
 from repro.queries import ql
 from repro.queries.session import QuerySession
 
-#: v3 in lockstep with ``bench_engine`` (v2 never shipped here): the
-#: backend axis and the kernel block arrived together across both files.
-SCHEMA_VERSION = 3
+# The node leg is the test oracle, which lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.reference_queries import execute_reference  # noqa: E402
+
+#: v4: the node leg answers through the test oracle.
+SCHEMA_VERSION = 4
 
 #: The ``bench_engine``/``bench_scaling`` workload: DU + LT + TT all
 #: bind, keeping the cleaned graphs branchy enough that queries have
@@ -142,9 +152,9 @@ def statements(duration: int) -> List[str]:
 
 def _node_pipeline(lsequence: LSequence,
                    session_statements: Sequence[str]) -> Tuple[list, int]:
-    """Clean to ``CTNode`` form, answer via object-path functions."""
+    """Clean to ``CTNode`` form, answer via the oracle's node DPs."""
     graph = build_ct_graph(lsequence, CONSTRAINTS)
-    results = [ql.execute(graph, statement)
+    results = [execute_reference(graph, statement)
                for statement in session_statements]
     return results, graph.estimate_size_bytes()
 
@@ -297,7 +307,7 @@ def run(durations: Sequence[int], repeats: int, backend: str,
         flat_results, flat_size = _flat_pipeline(
             lsequence, session_statements, backend)
         parity = parity and all(
-            _values_agree(node.value, flat.value, exact)
+            _values_agree(node, flat.value, exact)
             for node, flat in zip(node_results, flat_results))
         node_seconds = _best_of(
             repeats, lambda: _node_pipeline(lsequence, session_statements))
@@ -369,8 +379,8 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
     expect(payload.get("backend") in BACKENDS,
            f"backend must be one of {BACKENDS}")
     expect(payload.get("parity") is True,
-           "parity must be true — the flat query engine diverged from "
-           "the object-path answers")
+           "parity must be true — the QuerySession answers diverged from "
+           "the oracle node DPs")
     kernel = payload.get("kernel")
     if not isinstance(kernel, dict):
         problems.append("kernel block missing")

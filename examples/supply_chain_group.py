@@ -23,6 +23,7 @@ import numpy as np
 from repro import (
     IncrementalCleaner,
     LSequence,
+    QuerySession,
     build_ct_graph,
     condition_on_meeting,
     corridor_map,
@@ -78,9 +79,10 @@ def main() -> None:
     # --- pooling evidence sharpens position estimates --------------------
     print("per-step accuracy of the position estimate (truth probability):")
     singles, joints = [], []
+    pallet_session = QuerySession(pallet)  # one forward pass for all steps
     for tau in range(route.duration):
         truth = route.locations[tau]
-        singles.append(stay_query(pallet, tau).get(truth, 0.0))
+        singles.append(stay_query(pallet_session, tau).get(truth, 0.0))
         joints.append(together.location_marginal(tau).get(truth, 0.0))
     print(f"  pallet alone : {np.mean(singles):.3f}")
     print(f"  group-pooled : {np.mean(joints):.3f}")

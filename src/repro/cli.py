@@ -25,7 +25,6 @@ from repro.core.algorithm import (
     CleaningOptions,
     build_ct_graph,
 )
-from repro.core.ctgraph import CTGraph
 from repro.core.lsequence import LSequence
 from repro.experiments.harness import (
     CONSTRAINT_CONFIGS,
@@ -41,7 +40,6 @@ from repro.experiments.report import (
 )
 from repro.inference import MotilityProfile, infer_constraints
 from repro.queries.session import QuerySession
-from repro.queries.stay import stay_query
 from repro.queries.trajectory import TrajectoryQuery
 from repro.simulation.datasets import SCALES, syn1_dataset, syn2_dataset
 
@@ -149,14 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--at", type=int, help="timestep for a stay query")
     query.add_argument("--backend", choices=BACKENDS, default="python",
                        help="level-sweep backend for cleaning and for the "
-                            "QuerySession sweeps (with --flat)")
-    query.add_argument("--flat", action="store_true",
-                       help="clean straight to the flat columnar form and "
-                            "answer through a QuerySession (same numbers, "
-                            "less time and memory on long objects)")
+                            "QuerySession sweeps")
     query.add_argument("--stats", action="store_true",
                        help="print cleaning and query timings plus the "
-                            "graph representation in use")
+                            "resolved query backend")
 
     experiment = sub.add_parser("experiment", help="run a paper experiment")
     add_common(experiment)
@@ -197,12 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     ql.add_argument("--index", type=int, default=0)
     ql.add_argument("--backend", choices=BACKENDS, default="python",
                     help="level-sweep backend for cleaning and for the "
-                         "QuerySession sweeps (with --flat)")
-    ql.add_argument("--flat", action="store_true",
-                    help="clean straight to the flat columnar form; all "
-                         "statements then share one QuerySession's sweeps")
+                         "QuerySession sweeps")
     ql.add_argument("--stats", action="store_true",
-                    help="print the representation and timings")
+                    help="print the resolved query backend and timings")
     ql.add_argument("statements", nargs="+",
                     help="statements like 'STAY 10', 'MATCH ? F0_R1 ?', "
                          "'TOP 3', 'ENTROPY'")
@@ -335,7 +326,7 @@ def _parse_kinds(text: str) -> List[str]:
     return kinds
 
 
-def _cleaned_graph(dataset, args):
+def _cleaned_graph(dataset, args, materialize: str = "auto"):
     trajectories = dataset.all_trajectories()
     if not 0 <= args.index < len(trajectories):
         raise SystemExit(f"--index must be in [0, {len(trajectories)})")
@@ -344,11 +335,11 @@ def _cleaned_graph(dataset, args):
     constraints = infer_constraints(dataset.building, MotilityProfile(),
                                     kinds=kinds, distances=dataset.distances)
     lsequence = LSequence.from_readings(trajectory.readings, dataset.prior)
-    # Commands without --backend/--flat funnel through here with the
-    # defaults (python backend, node materialisation).
+    # Commands without --backend funnel through here with the python
+    # backend; the query commands ask for the flat form.
     options = CleaningOptions(
         backend=getattr(args, "backend", "python"),
-        materialize="flat" if getattr(args, "flat", False) else "auto",
+        materialize=materialize,
         output=getattr(args, "output", None))
     return trajectory, lsequence, build_ct_graph(lsequence, constraints,
                                                  options)
@@ -511,18 +502,14 @@ def _command_store(args: argparse.Namespace) -> int:
 def _command_query(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
-    trajectory, lsequence, graph = _cleaned_graph(dataset, args)
+    trajectory, lsequence, graph = _cleaned_graph(dataset, args, "flat")
     clean_seconds = time.perf_counter() - clean_started
-    session = None if isinstance(graph, CTGraph) else \
-        QuerySession(graph, backend=args.backend)
+    session = QuerySession(graph, backend=args.backend)
     truth = tuple(trajectory.truth.locations)
     did_something = False
     query_started = time.perf_counter()
     if args.at is not None:
-        if session is not None:
-            answer = session.location_marginal(args.at)
-        else:
-            answer = stay_query(graph, args.at)
+        answer = session.location_marginal(args.at)
         print(f"stay query at {args.at} (truth: {truth[args.at]}):")
         for location, probability in sorted(answer.items(),
                                             key=lambda kv: -kv[1])[:5]:
@@ -530,8 +517,7 @@ def _command_query(args: argparse.Namespace) -> int:
         did_something = True
     if args.pattern:
         query = TrajectoryQuery(args.pattern)
-        probability = query.probability(
-            session.graph if session is not None else graph)
+        probability = query.probability(session)
         print(f"trajectory query {args.pattern!r}: "
               f"yes with p={probability:.3f} "
               f"(ground truth: {query.matches(truth)})")
@@ -540,9 +526,7 @@ def _command_query(args: argparse.Namespace) -> int:
         print("nothing to do: pass --at and/or --pattern", file=sys.stderr)
         return 2
     if args.stats:
-        representation = "flat (QuerySession)" if session is not None \
-            else "nodes (CTGraph)"
-        print(f"stats: representation={representation}")
+        print(f"stats: backend={session.backend}")
         print(f"timings: clean {clean_seconds:.4f} s, "
               f"queries {time.perf_counter() - query_started:.4f} s")
     return 0
@@ -578,15 +562,16 @@ def _command_analytics(args: argparse.Namespace) -> int:
     )
 
     dataset = _load_dataset(args)
-    trajectory, lsequence, graph = _cleaned_graph(dataset, args)
+    trajectory, lsequence, graph = _cleaned_graph(dataset, args, "flat")
+    session = QuerySession(graph)
     truth = tuple(trajectory.truth.locations)
 
     print(f"uncertainty reduction: "
-          f"{uncertainty_reduction(lsequence, graph):.3f} bits/step")
+          f"{uncertainty_reduction(lsequence, session):.3f} bits/step")
 
     print(f"\ntop {args.top} most likely routes:")
     for rank, (route, probability) in enumerate(
-            top_k_trajectories(graph, args.top), start=1):
+            top_k_trajectories(session, args.top), start=1):
         compact = [route[0]]
         for location in route[1:]:
             if location != compact[-1]:
@@ -596,7 +581,7 @@ def _command_analytics(args: argparse.Namespace) -> int:
               f"{' -> '.join(compact)}{marker}")
 
     print("\nexpected time per location (top 5):")
-    totals = expected_visit_counts(graph)
+    totals = expected_visit_counts(session)
     for location, steps in sorted(totals.items(), key=lambda kv: -kv[1])[:5]:
         print(f"  {location:16s} {steps:8.1f} steps")
     return 0
@@ -655,20 +640,17 @@ def _command_ql(args: argparse.Namespace) -> int:
 
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
-    _, _, graph = _cleaned_graph(dataset, args)
+    _, _, graph = _cleaned_graph(dataset, args, "flat")
     clean_seconds = time.perf_counter() - clean_started
-    target = graph if isinstance(graph, CTGraph) else \
-        QuerySession(graph, backend=args.backend)
+    session = QuerySession(graph, backend=args.backend)
     query_started = time.perf_counter()
     for statement in args.statements:
-        result = execute(target, statement)
+        result = execute(session, statement)
         print(f"> {statement}")
         print(result.format())
         print()
     if args.stats:
-        representation = ("nodes (CTGraph)" if isinstance(graph, CTGraph)
-                          else "flat (QuerySession)")
-        print(f"stats: representation={representation}")
+        print(f"stats: backend={session.backend}")
         print(f"timings: clean {clean_seconds:.4f} s, "
               f"queries {time.perf_counter() - query_started:.4f} s")
     return 0

@@ -22,7 +22,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.flatgraph import FlatCTGraph, _intern
+from repro.core.flatgraph import FlatCTGraph, flat_from_levels
 from repro.core.lsequence import Trajectory
 from repro.core.nodes import Departures
 from repro.errors import GraphInvariantError, QueryError
@@ -317,48 +317,16 @@ class CTGraph:
     def to_flat(self) -> FlatCTGraph:
         """The graph as a :class:`~repro.core.flatgraph.FlatCTGraph`.
 
-        Location ids are interned in first-appearance order (level-major,
-        node order) and every per-level array follows this graph's node
-        and edge-insertion order, so the conversion is bit-identical to
-        the flat form ``CleaningOptions(materialize="flat")`` emits
-        directly.  The ``departures`` tuples and parent lists are not
-        carried over — queries never read them.  ``stats`` rides along.
+        Bit-identical to the flat form ``CleaningOptions(materialize=
+        "flat")`` emits directly (see
+        :func:`~repro.core.flatgraph.flat_from_levels`).  The
+        ``departures`` tuples and parent lists are not carried over —
+        queries never read them.  ``stats`` rides along.
         """
-        location_ids: Dict[str, int] = {}
-        names: List[str] = []
-        locations: List[Tuple[int, ...]] = []
-        stays: List[Tuple[Optional[int], ...]] = []
-        for level in self._levels:
-            locations.append(tuple(_intern(node.location, location_ids,
-                                           names) for node in level))
-            stays.append(tuple(node.stay for node in level))
-        edge_offsets: List[Tuple[int, ...]] = []
-        edge_children: List[Tuple[int, ...]] = []
-        edge_probabilities: List[Tuple[float, ...]] = []
-        for tau in range(len(self._levels) - 1):
-            index = {node: i
-                     for i, node in enumerate(self._levels[tau + 1])}
-            offsets: List[int] = [0]
-            children: List[int] = []
-            probabilities: List[float] = []
-            for node in self._levels[tau]:
-                for child, probability in node.edges.items():
-                    children.append(index[child])
-                    probabilities.append(probability)
-                offsets.append(len(children))
-            edge_offsets.append(tuple(offsets))
-            edge_children.append(tuple(children))
-            edge_probabilities.append(tuple(probabilities))
-        return FlatCTGraph(
-            location_names=tuple(names),
-            locations=tuple(locations),
-            stays=tuple(stays),
-            edge_offsets=tuple(edge_offsets),
-            edge_children=tuple(edge_children),
-            edge_probabilities=tuple(edge_probabilities),
-            source_probabilities=tuple(self.source_probability(node)
-                                       for node in self._levels[0]),
-            stats=self.stats)
+        return flat_from_levels(
+            self._levels,
+            [self.source_probability(node) for node in self._levels[0]],
+            self.stats)
 
     def to_networkx(self):
         """The graph as a ``networkx.DiGraph`` for external tooling.

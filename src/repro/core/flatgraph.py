@@ -3,14 +3,15 @@
 A :class:`FlatCTGraph` stores exactly the information queries consume —
 interned location ids, per-level ``location``/``stay`` arrays, per-level
 CSR edge arrays and the conditioned source distribution — without one
-Python object per node.  It is the query substrate of
-:class:`repro.queries.session.QuerySession`: every query DP becomes index
-arithmetic over tuples instead of attribute access over a ``CTNode`` web.
+Python object per node.  It is the only query substrate:
+:class:`repro.queries.session.QuerySession`, which answers every query,
+runs its DPs as index arithmetic over these tuples.
 
 Two producers, one representation:
 
-* :meth:`repro.core.ctgraph.CTGraph.to_flat` converts a materialised node
-  graph;
+* :func:`flat_from_levels` converts a levelled node graph — both
+  :meth:`repro.core.ctgraph.CTGraph.to_flat` and
+  :meth:`repro.core.groups.JointGraph.to_flat` call it;
 * ``CleaningOptions(materialize="flat")`` makes
   :func:`~repro.core.algorithm.build_ct_graph` emit the flat form
   directly, skipping ``CTNode`` materialisation entirely (its backward
@@ -50,14 +51,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphInvariantError, QueryError
 
 if TYPE_CHECKING:
     from repro.core.algorithm import CleaningStats
 
-__all__ = ["FlatCTGraph"]
+__all__ = ["FlatCTGraph", "flat_from_levels"]
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class FlatCTGraph:
     def validate(self, tolerance: float = 1e-6) -> None:
         """Check the Definition 4 invariants on the flat arrays.
 
-        The columnar mirror of :meth:`CTGraph.validate`: consistent array
+        The columnar counterpart of :meth:`CTGraph.validate`: consistent array
         lengths, a normalised source distribution, normalised outgoing
         rows for every non-target node, in-range child indices.
         """
@@ -224,10 +225,56 @@ class FlatCTGraph:
                 f"locations={len(self.location_names)})")
 
 
-def _intern(name: str, ids: Dict[str, int], names: List[str]) -> int:
-    lid = ids.get(name)
-    if lid is None:
-        lid = len(names)
-        ids[name] = lid
-        names.append(name)
-    return lid
+def flat_from_levels(levels: Sequence[Sequence[Any]],
+                     source_probabilities: Sequence[float],
+                     stats: Optional["CleaningStats"] = None) -> FlatCTGraph:
+    """A levelled node graph as a :class:`FlatCTGraph`.
+
+    ``levels`` holds each level's nodes — objects with ``location``,
+    ``stay`` and an ``edges`` dict mapping next-level nodes to their
+    probabilities (``CTNode``, ``JointNode``) — and
+    ``source_probabilities`` the level-0 distribution in node order.
+    Location ids are interned in first-appearance order (level-major,
+    node order) and every per-level array follows the node order and the
+    edge insertion order, so converting a node graph is bit-identical to
+    the flat form ``CleaningOptions(materialize="flat")`` emits directly.
+    """
+    location_ids: Dict[str, int] = {}
+    names: List[str] = []
+    locations: List[Tuple[int, ...]] = []
+    stays: List[Tuple[Optional[int], ...]] = []
+    for level in levels:
+        row: List[int] = []
+        for node in level:
+            lid = location_ids.get(node.location)
+            if lid is None:
+                lid = location_ids[node.location] = len(names)
+                names.append(node.location)
+            row.append(lid)
+        locations.append(tuple(row))
+        stays.append(tuple(node.stay for node in level))
+    edge_offsets: List[Tuple[int, ...]] = []
+    edge_children: List[Tuple[int, ...]] = []
+    edge_probabilities: List[Tuple[float, ...]] = []
+    for tau in range(len(levels) - 1):
+        index = {node: i for i, node in enumerate(levels[tau + 1])}
+        offsets: List[int] = [0]
+        children: List[int] = []
+        probabilities: List[float] = []
+        for node in levels[tau]:
+            for child, probability in node.edges.items():
+                children.append(index[child])
+                probabilities.append(probability)
+            offsets.append(len(children))
+        edge_offsets.append(tuple(offsets))
+        edge_children.append(tuple(children))
+        edge_probabilities.append(tuple(probabilities))
+    return FlatCTGraph(
+        location_names=tuple(names),
+        locations=tuple(locations),
+        stays=tuple(stays),
+        edge_offsets=tuple(edge_offsets),
+        edge_children=tuple(edge_children),
+        edge_probabilities=tuple(edge_probabilities),
+        source_probabilities=tuple(source_probabilities),
+        stats=stats)

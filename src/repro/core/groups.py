@@ -21,6 +21,7 @@ import math
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.ctgraph import CTGraph, CTNode
+from repro.core.flatgraph import FlatCTGraph, flat_from_levels
 from repro.core.lsequence import Trajectory
 from repro.errors import InconsistentReadingsError, QueryError
 
@@ -32,6 +33,9 @@ class JointNode:
     """A pair of same-location node states at one timestep."""
 
     __slots__ = ("tau", "location", "node_a", "node_b", "edges", "parents")
+
+    #: Joint nodes carry no latency counter (the flat form's stay column).
+    stay = None
 
     def __init__(self, tau: int, location: str,
                  node_a, node_b) -> None:
@@ -134,6 +138,14 @@ class JointGraph:
             if not frontier:
                 return 0.0
         return sum(frontier.values())
+
+    def to_flat(self) -> FlatCTGraph:
+        """The joint graph as a :class:`~repro.core.flatgraph.FlatCTGraph`,
+        so every :class:`~repro.queries.session.QuerySession` query runs
+        on it (location ids name the group's shared location)."""
+        return flat_from_levels(
+            self._levels,
+            [self.source_probability(node) for node in self._levels[0]])
 
     def __repr__(self) -> str:
         return f"JointGraph(duration={self.duration}, nodes={self.num_nodes})"

@@ -33,7 +33,8 @@ from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.ctgraph import CTGraph
 from repro.core.lsequence import LSequence
 from repro.inference import MotilityProfile, infer_constraints
-from repro.queries.stay import stay_query, stay_query_prior
+from repro.queries.session import QuerySession
+from repro.queries.stay import stay_query_prior
 from repro.queries.trajectory import TrajectoryQuery
 from repro.queries.accuracy import stay_accuracy, trajectory_query_accuracy
 from repro.simulation.datasets import Dataset, GeneratedTrajectory
@@ -68,6 +69,10 @@ CONSTRAINT_CONFIGS: Dict[str, Tuple[str, ...]] = {
 
 #: The no-cleaning baseline label (raw a-priori interpretation).
 RAW_CONFIG = "RAW"
+
+#: The query experiments never read ``CTNode`` objects: they clean
+#: straight to the flat form a ``QuerySession`` answers from.
+_FLAT = CleaningOptions(materialize="flat")
 
 
 @dataclass(frozen=True)
@@ -256,14 +261,14 @@ def run_query_time_experiment(dataset: Dataset,
             for trajectory in dataset.trajectories[duration]:
                 lsequence = LSequence.from_readings(trajectory.readings,
                                                     dataset.prior)
-                graph = build_ct_graph(lsequence, constraints)
+                graph = build_ct_graph(lsequence, constraints, _FLAT)
                 for tau in random_stay_queries(duration, stay_queries, rng):
+                    # A fresh session per query: the forward pass is
+                    # cached per session, and every stay query must pay
+                    # its real cost.
                     started = time.perf_counter()
-                    stay_query(graph, tau)
+                    QuerySession(graph).location_marginal(tau)
                     stay_times.append(time.perf_counter() - started)
-                    # The forward pass is cached per graph; drop the cache
-                    # so every stay query pays its real cost.
-                    graph._node_marginals = None
                 patterns = random_trajectory_queries(
                     dataset.building, trajectory_queries, rng)
                 for pattern in patterns:
@@ -308,9 +313,10 @@ def run_stay_accuracy_experiment(dataset: Dataset,
                     for tau in taus)
             for config_name, kinds in configs.items():
                 constraints = _configured_constraints(dataset, kinds, profile)
-                graph = build_ct_graph(lsequence, constraints)
+                session = QuerySession(
+                    build_ct_graph(lsequence, constraints, _FLAT))
                 per_config[config_name].extend(
-                    stay_accuracy(stay_query(graph, tau), truth[tau])
+                    stay_accuracy(session.location_marginal(tau), truth[tau])
                     for tau in taus)
     results: List[AccuracyMeasurement] = []
     if include_raw and raw_scores:
@@ -354,8 +360,9 @@ def run_trajectory_accuracy_experiment(
             lsequence = LSequence.from_readings(trajectory.readings,
                                                 dataset.prior)
             graphs = {
-                name: build_ct_graph(
-                    lsequence, _configured_constraints(dataset, kinds, profile))
+                name: QuerySession(build_ct_graph(
+                    lsequence, _configured_constraints(dataset, kinds, profile),
+                    _FLAT))
                 for name, kinds in configs.items()}
             for length in lengths:
                 count = (queries_per_trajectory if length is None

@@ -194,7 +194,7 @@ class InternedMutationRule(LintRule):
         "EngineCache/SharedCleaningPlan intern states, supports and "
         "transition rows shared by every object of a batch; a write "
         "through a non-owner reference (cache._rows[k] = ..., "
-        "plan._du_rows.update(...)) silently corrupts every other "
+        "cache._du_rows.update(...)) silently corrupts every other "
         "cleaning.  Owners mutate through self/cls only.")
 
     def check(self, tree: ast.Module, path: str) -> Iterator[LintFinding]:

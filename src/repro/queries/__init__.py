@@ -7,9 +7,11 @@
 * **Accuracy metrics** against ground truth —
   :mod:`repro.queries.accuracy`.
 
-Both query kinds run on ct-graphs as exact dynamic programs; they can also
-be evaluated against the raw (unconditioned) l-sequence, which is the
-"no cleaning" baseline of the accuracy experiments.
+Both query kinds run on ct-graphs as exact dynamic programs, answered by
+:class:`repro.queries.session.QuerySession` (the one implementation of
+every query; the public functions accept any graph form it does).  They
+can also be evaluated against the raw (unconditioned) l-sequence, which
+is the "no cleaning" baseline of the accuracy experiments.
 """
 
 from repro.queries.accuracy import (

@@ -1,12 +1,16 @@
-"""Shared-pass query sessions over the flat (columnar) ct-graph form.
+"""Query sessions: the one implementation of every query on a cleaned graph.
 
-Every function in :mod:`repro.queries.analytics` walks the ``CTNode`` web
-independently, and most begin with the same forward pass.  A
-:class:`QuerySession` wraps a :class:`~repro.core.flatgraph.FlatCTGraph`
-— or any flat-shaped view, such as the mmap-served
+A :class:`QuerySession` answers stay, pattern, visit, dwell, MAP and
+top-k queries over a :class:`~repro.core.flatgraph.FlatCTGraph` — or
+any flat-shaped view, such as the mmap-served
 :class:`~repro.store.format.MappedCTGraph` a ``.ctg`` file loads to,
-whose columns feed the same DPs zero-copy — and computes the shared
-sweeps **once** as flat arrays:
+whose columns feed the same DPs zero-copy.  Node graphs
+(:class:`~repro.core.ctgraph.CTGraph`,
+:class:`~repro.core.groups.JointGraph`) are converted once through their
+``to_flat()``.  The public query functions (:mod:`repro.queries.analytics`,
+:func:`~repro.queries.stay.stay_query`, the meeting queries and
+:func:`~repro.queries.ql.execute`) all delegate here, and each computes
+the shared sweeps **once** as flat arrays:
 
 * the forward (alpha) pass — per-level node-marginal arrays feeding
   :meth:`~QuerySession.location_marginal`,
@@ -18,11 +22,11 @@ sweeps **once** as flat arrays:
   conditioned ct-graph are identically 1 — every outgoing row is a
   distribution — so max-product is the backward sweep worth sharing.)
 
-Each query is then index arithmetic over tuples instead of dict lookups
-over node objects.  Results are **bit-exact** with the object-path
-implementations: the DPs replicate the reference iteration order (level
-order, edge insertion order), its skip criteria (``mass == 0.0`` forward
-skips, ``> 0.0`` emission filters) and its accumulation patterns
+Each query is index arithmetic over tuples.  Results are **bit-exact**
+with the ``CTNode``-walking DPs the test suite keeps as its oracle
+(``tests/reference_queries.py``): the DPs follow level order and edge
+insertion order, the same skip criteria (``mass == 0.0`` forward skips,
+``> 0.0`` emission filters) and the same accumulation patterns
 (``get(key, 0.0) + flow`` chains start at ``0.0`` exactly like fresh
 array slots), so every float comes out identical.  Where presence of an
 underflowed ``0.0`` entry affects a result dict's keys
@@ -32,9 +36,10 @@ the DP frontier in dicts keyed by node *index*, preserving insertion-order
 semantics.  The hypothesis suite in ``tests/test_queries_flat.py`` pins
 the parity query-by-query.
 
-``most_likely_trajectory`` and ``top_k_trajectories`` share the
-deterministic lexicographic tie-break with the object path (see
-:func:`repro.queries.analytics.most_likely_trajectory`).
+``most_likely_trajectory`` and ``top_k_trajectories`` break ties
+deterministically: among equal-probability MAP paths the
+lexicographically smallest location sequence wins, and equal-probability
+top-k entries come out in discovery order.
 
 **Backends** — the shared sweeps (alphas, max-product suffixes, the
 marginal/entropy/expected-visit reductions and the visit/span restricted
@@ -42,7 +47,7 @@ flows) optionally run as whole-level ndarray kernels
 (:mod:`repro.core.kernels`) over cached ``GraphViews``:
 ``QuerySession(graph, backend="numpy")`` opts in, ``"auto"`` engages them
 above the calibrated width threshold, and ``"python"`` (the default)
-always runs the loops above, which remain the parity oracle.  Kernel
+always runs the loops, which remain the parity oracle.  Kernel
 sweeps are pinned to the oracle by the documented tolerance gate
 (``docs/perf.md``): discrete structure — dict key sets, tie-breaks,
 top-k order — stays exact; floats agree to 1e-12 relative.  The
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import kernels
 from repro.core.ctgraph import CTGraph
@@ -67,22 +72,33 @@ from repro.errors import QueryError
 from repro.queries.pattern import Pattern
 from repro.queries.trajectory import TrajectoryQuery
 
-__all__ = ["QuerySession"]
+if TYPE_CHECKING:
+    from repro.core.groups import JointGraph
+    from repro.store.format import MappedCTGraph
+
+__all__ = ["QuerySession", "distribution_entropy"]
+
+#: What a session accepts: a flat graph, a flat-shaped view, or a node
+#: graph with ``to_flat()``.
+QueryGraph = Union[CTGraph, FlatCTGraph, "MappedCTGraph", "JointGraph"]
+#: What every public query function accepts: a graph or a session.
+QueryInput = Union[QueryGraph, "QuerySession"]
 
 
 class QuerySession:
     """Cached query evaluation over one flat ct-graph.
 
-    Construct it from a :class:`FlatCTGraph` (free) or a :class:`CTGraph`
-    (converted via :meth:`~repro.core.ctgraph.CTGraph.to_flat`).  The
-    session is cheap to build — sweeps run lazily on first use and are
-    cached, so asking eight queries costs one forward pass, not eight.
-    Sessions are not thread-safe (caches are plain dicts).
+    Construct it from a :class:`FlatCTGraph` or a flat-shaped view (used
+    as is) or from anything with a ``to_flat()`` method — a
+    :class:`CTGraph` or a :class:`~repro.core.groups.JointGraph` —
+    converted once.  The session is cheap to build — sweeps run lazily
+    on first use and are cached, so asking eight queries costs one
+    forward pass, not eight.  Sessions are not thread-safe (caches are
+    plain dicts).
     """
 
-    def __init__(self, graph: Union[CTGraph, FlatCTGraph],
-                 backend: str = "python") -> None:
-        if isinstance(graph, CTGraph):
+    def __init__(self, graph: QueryGraph, backend: str = "python") -> None:
+        if hasattr(graph, "to_flat"):
             graph = graph.to_flat()
         self.graph = graph
         edge_levels = graph.duration - 1
@@ -101,9 +117,10 @@ class QuerySession:
         self._map: Optional[Tuple[Trajectory, float]] = None
 
     @classmethod
-    def ensure(cls, graph: Union[CTGraph, FlatCTGraph,
-                                 "QuerySession"]) -> "QuerySession":
-        """``graph`` as a session, wrapping it if necessary."""
+    def ensure(cls, graph: QueryInput) -> "QuerySession":
+        """``graph`` as a session, wrapping it in a fresh python-backend
+        session if necessary.  Every public query function funnels its
+        input through here; pass a session to share its sweeps."""
         if isinstance(graph, QuerySession):
             return graph
         return cls(graph)
@@ -148,9 +165,9 @@ class QuerySession:
     def alphas(self) -> List[List[float]]:
         """The forward pass: P(trajectory passes through node), per level.
 
-        The flat mirror of :meth:`CTGraph.node_marginals` — same skip
-        criterion (``mass == 0.0``), same accumulation order.  Always a
-        list of plain float lists, whichever backend computed it.
+        Same skip criterion (``mass == 0.0``) and accumulation order as
+        :meth:`CTGraph.node_marginals`.  Always a list of plain float
+        lists, whichever backend computed it.
         """
         if self._alphas is None:
             rows = self._alpha_levels()
@@ -233,8 +250,9 @@ class QuerySession:
                         kernels.masses_by_location(views, tau, rows[tau]))
                     for tau in range(self.duration)]
             else:
-                self._entropies = [_entropy(self.location_marginal(tau))
-                                   for tau in range(self.duration)]
+                self._entropies = [
+                    distribution_entropy(self.location_marginal(tau))
+                    for tau in range(self.duration)]
         return self._entropies
 
     def expected_visit_counts(self) -> Dict[str, float]:
@@ -420,12 +438,13 @@ class QuerySession:
     # trajectory extraction
     # ------------------------------------------------------------------
     def most_likely_trajectory(self) -> Tuple[Trajectory, float]:
-        """The MAP trajectory, ties broken lexicographically.
+        """The maximum-probability valid trajectory (Viterbi), with its
+        probability.
 
-        The flat mirror of
-        :func:`repro.queries.analytics.most_likely_trajectory` — identical
-        probabilities and identical tie-breaks, pinned by the parity
-        suite.
+        Ties are broken deterministically: among equal-probability MAP
+        paths the lexicographically smallest location sequence wins,
+        independent of node and edge order.  Raises :class:`QueryError`
+        when no path has positive probability.
         """
         if self._map is not None:
             return self._map
@@ -512,16 +531,25 @@ class QuerySession:
         return self._map
 
     def top_k_trajectories(self, k: int) -> List[Tuple[Trajectory, float]]:
-        """The ``min(k, num_valid_trajectories())`` most probable valid
-        trajectories, most probable first.
+        """The most probable valid trajectories, most probable first.
 
-        Flat mirror of :func:`repro.queries.analytics.top_k_trajectories`
-        — same best-first expansion order (bounds, then insertion order),
-        same per-node pop cap, identical results.  Partial trajectories
-        live on the heap as cons chains ``(name, parent_chain)`` rather
-        than tuples, so a push costs O(1) instead of O(duration); the
-        heap never compares chains (``counter`` is unique), and only the
-        ``min(k, ...)`` emitted results pay the unwind.
+        Contract: returns exactly ``min(k, num_valid_trajectories())``
+        entries — a graph with fewer than ``k`` valid trajectories yields
+        them all, never an error and never padding.  Equal-probability
+        trajectories are returned in discovery order (level order, then
+        edge insertion order).
+
+        Best-first search over path prefixes, guided by the exact
+        probability-to-go upper bound (each node's best completion, the
+        max-product suffix pass).  Each node is expanded at most ``k``
+        times: the ``i``-th pop of a node carries its ``i``-th best
+        prefix, so later prefixes through it are dominated.  That bounds
+        the heap at ``O(k * edges)`` entries however many valid
+        trajectories exist.  Partial trajectories live on the heap as
+        cons chains ``(name, parent_chain)`` rather than tuples, so a push
+        costs O(1) instead of O(duration); the heap never compares chains
+        (``counter`` is unique), and only the emitted results pay the
+        unwind.
         """
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
@@ -595,15 +623,14 @@ class QuerySession:
         """P(the cleaned trajectory matches the pattern)."""
         query = (pattern if isinstance(pattern, TrajectoryQuery)
                  else TrajectoryQuery(pattern))
-        return query.probability(self.graph)
+        return query.probability(self)
 
     def __repr__(self) -> str:
         return f"QuerySession({self.graph!r})"
 
 
-def _entropy(distribution: Dict[str, float]) -> float:
-    # Same expression as repro.queries.analytics._entropy (kept local to
-    # avoid an import cycle); identical floats by construction.
+def distribution_entropy(distribution: Dict[str, float]) -> float:
+    """Shannon entropy (bits) of a ``{location: probability}`` dict."""
     return -sum(p * math.log2(p) for p in distribution.values() if p > 0.0)
 
 

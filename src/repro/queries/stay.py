@@ -2,8 +2,8 @@
 
 Over a ct-graph the answer is exact: the probability of location ``l`` at
 ``tau`` is the total conditioned mass of the source->target paths whose
-``tau``-th step is ``l`` — computed by the cached forward pass of
-:meth:`repro.core.ctgraph.CTGraph.location_marginal`.
+``tau``-th step is ``l`` — computed by the forward pass of
+:meth:`repro.queries.session.QuerySession.location_marginal`.
 
 :func:`stay_query_prior` answers the same question from the raw l-sequence
 (the independence-assumption interpretation) — the "no cleaning" baseline
@@ -14,18 +14,21 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.ctgraph import CTGraph
 from repro.core.lsequence import LSequence
+from repro.queries.session import QueryInput, QuerySession
 
 __all__ = ["stay_query", "stay_query_prior"]
 
 
-def stay_query(graph: CTGraph, tau: int) -> Dict[str, float]:
+def stay_query(graph: QueryInput, tau: int) -> Dict[str, float]:
     """The conditioned distribution of the object's location at ``tau``.
 
-    Raises :class:`repro.errors.QueryError` for out-of-range timesteps.
+    ``graph`` takes every form :meth:`QuerySession.ensure` does; pass a
+    session when asking about many timesteps, so the forward pass runs
+    once.  Raises :class:`repro.errors.QueryError` for out-of-range
+    timesteps.
     """
-    return graph.location_marginal(tau)
+    return QuerySession.ensure(graph).location_marginal(tau)
 
 
 def stay_query_prior(lsequence: LSequence, tau: int) -> Dict[str, float]:

@@ -3,7 +3,9 @@
 The answer to a trajectory query over a ct-graph is *yes* with probability
 ``p`` = total conditioned mass of the source->target paths whose location
 sequence matches the pattern.  The evaluator runs the pattern's DFA in
-lock-step with a forward pass over the levelled graph: the DP state is a
+lock-step with a forward pass over the flat columns of the graph
+(:class:`~repro.core.flatgraph.FlatCTGraph`; node graphs are converted
+through :class:`~repro.queries.session.QuerySession`): the DP state is a
 probability per ``(graph node, DFA state)`` pair.  Determinism of the DFA
 makes the sum exact — each trajectory is counted through exactly one DFA
 run.
@@ -15,12 +17,13 @@ assumption.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Sequence, Union
 
-from repro.core.ctgraph import CTGraph, CTNode
-from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence
 from repro.queries.pattern import Pattern
+
+if TYPE_CHECKING:
+    from repro.queries.session import QueryInput
 
 __all__ = ["TrajectoryQuery"]
 
@@ -34,50 +37,20 @@ class TrajectoryQuery:
         self._dfa = self.pattern.dfa()
 
     # ------------------------------------------------------------------
-    def probability(self, graph: Union[CTGraph, FlatCTGraph]) -> float:
+    def probability(self, graph: "QueryInput") -> float:
         """P(the cleaned trajectory matches the pattern).
 
-        Accepts the node form or the flat form (including duck-typed
-        column views like :class:`~repro.store.format.MappedCTGraph` —
-        anything exposing the CSR ``edge_offsets`` columns runs the flat
-        DP; node-like graphs such as ``JointGraph`` run the object DP);
-        the two DPs visit ``(node, DFA state)`` pairs in the same order
-        and produce bit-identical probabilities.
+        Accepts every form :meth:`QuerySession.ensure` does (a flat
+        graph or view, a node graph with ``to_flat()``, a session).  The
+        DP runs over the flat columns; ``(node index, DFA state)``
+        frontier keys are packed into one int (``index * num_states +
+        state``) and the DFA transition per interned location id is
+        computed once.
         """
-        if hasattr(graph, "edge_offsets"):
-            return self._probability_flat(graph)
+        from repro.queries.session import QuerySession
+
+        graph = QuerySession.ensure(graph).graph
         dfa = self._dfa
-        # forward[(node, dfa_state)] = accumulated probability mass.
-        forward: Dict[Tuple[CTNode, int], float] = {}
-        for source in graph.sources:
-            mass = graph.source_probability(source)
-            if mass <= 0.0:
-                continue
-            state = dfa.step(dfa.start, source.location)
-            key = (source, state)
-            forward[key] = forward.get(key, 0.0) + mass
-
-        for tau in range(graph.duration - 1):
-            step: Dict[Tuple[CTNode, int], float] = {}
-            for (node, state), mass in forward.items():
-                if node.tau != tau:
-                    continue
-                for child, probability in node.edges.items():
-                    next_state = dfa.step(state, child.location)
-                    key = (child, next_state)
-                    step[key] = step.get(key, 0.0) + mass * probability
-            forward = step
-
-        return sum(mass for (node, state), mass in forward.items()
-                   if state in dfa.accepting)
-
-    def _probability_flat(self, graph: FlatCTGraph) -> float:
-        dfa = self._dfa
-        # The DFA transition per interned location id, computed once, and
-        # ``(node index, dfa state)`` frontier keys packed into one int
-        # (``index * num_states + state``) — the packing is a bijection,
-        # so insertion order and float accumulation match the tuple-keyed
-        # object path exactly.
         symbols = [dfa.symbol(name) for name in graph.location_names]
         transitions = dfa.transitions
         num_states = len(transitions)

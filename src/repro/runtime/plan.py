@@ -22,7 +22,7 @@ state both just build one per constraint set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple, Union
 
 from repro.core.constraints import ConstraintSet
 from repro.core.lsequence import LSequence
@@ -106,8 +106,6 @@ class SharedCleaningPlan:
     def __init__(self, constraints: ConstraintSet, *,
                  static_checked: bool = False) -> None:
         self.constraints = constraints
-        self._du_rows: Dict[Tuple[str, Tuple[str, ...]],
-                            FrozenSet[str]] = {}
         self._engine_cache = None
         # Static advice per support signature (see advice_for).
         self._advice: Dict[Tuple[bool, Tuple[Tuple[str, ...], ...]],
@@ -117,32 +115,6 @@ class SharedCleaningPlan:
         # before spawning workers, so respawned pools never repeat it and
         # its warnings surface exactly once, in the parent).
         self._static_checked = static_checked
-
-    # ------------------------------------------------------------------
-    # DU-reachability rows
-    # ------------------------------------------------------------------
-    def du_row(self, location: str,
-               support: Tuple[str, ...]) -> FrozenSet[str]:
-        """The subset of ``support`` directly reachable from ``location``.
-
-        Cached per ``(location, support)``: reader patterns repeat heavily
-        both along one l-sequence and across the objects of a batch, so
-        after warm-up the forward pass pays one dict lookup instead of a
-        ``forbids_step`` scan per level.  Callers pass the support in
-        *canonical (sorted) order* — equal location sets listed in
-        different orders by different levels or objects then share one
-        row — and filter their own candidate order through the returned
-        set, which keeps edge insertion order (and with it the float
-        arithmetic) identical to the plan-less path.
-        """
-        key = (location, support)
-        row = self._du_rows.get(key)
-        if row is None:
-            forbids = self.constraints.forbids_step
-            row = frozenset(destination for destination in support
-                            if not forbids(location, destination))
-            self._du_rows[key] = row
-        return row
 
     # ------------------------------------------------------------------
     # the interned states and transition rows of Algorithm 1
@@ -186,11 +158,6 @@ class SharedCleaningPlan:
                             strict_truncation=strict)
             self._advice[key] = advice
         return advice
-
-    @property
-    def cached_rows(self) -> int:
-        """How many DU rows the plan has accumulated (observability)."""
-        return len(self._du_rows)
 
     @property
     def cached_advice(self) -> int:
@@ -251,4 +218,4 @@ class SharedCleaningPlan:
 
     def __repr__(self) -> str:
         return (f"SharedCleaningPlan({self.constraints!r}, "
-                f"cached_rows={self.cached_rows})")
+                f"cached_advice={self.cached_advice})")

@@ -79,11 +79,6 @@ def build_ct_graph_reference(lsequence: LSequence,
         frontier = levels[tau]
         next_level = levels[tau + 1]
         candidates = lsequence.candidates(tau + 1)
-        # The plan's row cache is keyed on the *sorted* support: the same
-        # location set listed in different orders across levels (or
-        # objects) must hit one row, so the key is canonicalised once per
-        # level and the row is a set filtered through ``candidates`` order.
-        support = tuple(sorted(candidates)) if plan is not None else ()
         filter_binding = options.strict_truncation and tau + 1 == last
         # Rule 2 (DU) is hoisted: the reachable candidates are shared by
         # every node at the same location of this level.
@@ -92,18 +87,11 @@ def build_ct_graph_reference(lsequence: LSequence,
             location = node.location
             allowed = reachable.get(location)
             if allowed is None:
-                if plan is not None:
-                    row = plan.du_row(location, support)
-                    allowed = [(destination, probability)
-                               for destination, probability
-                               in candidates.items()
-                               if destination in row]
-                else:
-                    allowed = [(destination, probability)
-                               for destination, probability
-                               in candidates.items()
-                               if not constraints.forbids_step(location,
-                                                               destination)]
+                allowed = [(destination, probability)
+                           for destination, probability
+                           in candidates.items()
+                           if not constraints.forbids_step(location,
+                                                           destination)]
                 reachable[location] = allowed
             state = (location, node.stay, node.departures)
             for destination, probability in allowed:

@@ -1,5 +1,5 @@
 """Smoke test for benchmarks/bench_queries.py: the bench must run on a
-tiny workload, assert node-path/flat-path answer parity, and emit a
+tiny workload, assert oracle/QuerySession answer parity, and emit a
 well-formed BENCH_queries.json (schema only — no performance assertion;
 speedup is hardware)."""
 
@@ -61,7 +61,7 @@ def test_smoke_emits_well_formed_json(tmp_path):
 
 def test_numpy_backend_smoke(tmp_path):
     # The CI kernel-parity step: the numpy-backed flat pipeline must
-    # agree with the node path under the tolerance gate.
+    # agree with the node-DP oracle under the tolerance gate.
     out = tmp_path / "BENCH_queries.json"
     run = subprocess.run(
         [sys.executable, str(BENCH), "--durations", "40", "--repeats", "1",

@@ -1,13 +1,15 @@
-"""Property-based bit-exactness of the flat query engine.
+"""Property-based bit-exactness of the query layer against its oracle.
 
-Three representations of the same cleaned object must answer every query
-identically — not approximately, *bitwise*:
+Every query on a cleaned graph has one production implementation, the
+:class:`~repro.queries.session.QuerySession` method.  This suite pins it
+to the ``CTNode``-walking DPs of ``tests/reference_queries.py`` —
+not approximately, *bitwise* — over every graph form a session serves:
 
-* the ``CTGraph`` object path (``repro.queries.analytics`` et al.),
-* a ``QuerySession`` over ``CTGraph.to_flat()``,
-* a ``QuerySession`` over a native flat build
-  (``CleaningOptions(materialize="flat")``), for both ``build_ct_graph``
-  and the reference builder oracle (``tests/reference_builder.py``).
+* ``CTGraph.to_flat()``,
+* a native flat build (``CleaningOptions(materialize="flat")``), for
+  both ``build_ct_graph`` and the reference builder oracle
+  (``tests/reference_builder.py``),
+* the mmap-served ``MappedCTGraph`` of a saved ``.ctg`` file.
 
 The suite reuses the random-instance strategies of
 ``test_engine_vs_reference`` (random supports include zero-mass-pruned
@@ -17,8 +19,12 @@ counts, visit/first-visit/span/dwell for every location (plus one the
 graph never mentions), pattern matching, the MAP trajectory and top-k
 lists.  Deterministic tie-breaking (lexicographic, per the
 ``most_likely_trajectory`` contract) gets its own regression tests on
-hand-built tied graphs.
+hand-built tied graphs, and the public functions are checked to accept
+every graph form with identical answers.
 """
+
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,22 +32,31 @@ from hypothesis import given, settings, strategies as st
 from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.constraints import ConstraintSet, Latency, Unreachable
 from repro.core.flatgraph import FlatCTGraph
+from repro.core.groups import condition_on_meeting
 from repro.core.lsequence import LSequence
 from repro.errors import InconsistentReadingsError, QueryError
 from repro.queries import (
+    colocation_profile,
     entropy_profile,
     expected_visit_counts,
     first_visit_distribution,
+    meeting_probability,
+    meeting_time_distribution,
     most_likely_trajectory,
     span_probability,
     stay_query,
     time_at_location_distribution,
     top_k_trajectories,
+    uncertainty_reduction,
     visit_probability,
 )
+from repro.queries import ql
+from repro.queries.accuracy import stay_accuracy_on, trajectory_accuracy_on
 from repro.queries.session import QuerySession
 from repro.queries.trajectory import TrajectoryQuery
+from repro.store import load_ctg, save_ctg
 
+from tests import reference_queries as oracle
 from tests.reference_builder import build_ct_graph_reference
 from tests.test_engine_vs_reference import (
     LOCATIONS,
@@ -72,34 +87,51 @@ def _build_all_forms(lsequence, constraints):
     return nodes, flats
 
 
-def _assert_query_parity(nodes, flat):
-    session = QuerySession(flat)
+def _assert_query_parity(nodes, graph):
+    """Every session answer over ``graph`` equals the oracle on ``nodes``."""
+    session = QuerySession(graph)
     duration = nodes.duration
     assert session.duration == duration
-    assert flat.num_valid_trajectories() == nodes.num_valid_trajectories()
+    assert graph.num_valid_trajectories() == nodes.num_valid_trajectories()
 
     for tau in range(duration):
-        assert session.location_marginal(tau) == stay_query(nodes, tau)
-    assert session.entropy_profile() == entropy_profile(nodes)
-    assert session.expected_visit_counts() == expected_visit_counts(nodes)
+        assert session.location_marginal(tau) == oracle.stay_query(nodes, tau)
+    assert session.entropy_profile() == oracle.entropy_profile(nodes)
+    assert (session.expected_visit_counts()
+            == oracle.expected_visit_counts(nodes))
 
     for location in QUERY_LOCATIONS:
         assert (session.visit_probability(location)
-                == visit_probability(nodes, location))
+                == oracle.visit_probability(nodes, location))
         assert (session.first_visit_distribution(location)
-                == first_visit_distribution(nodes, location))
+                == oracle.first_visit_distribution(nodes, location))
         assert (session.time_at_location_distribution(location)
-                == time_at_location_distribution(nodes, location))
+                == oracle.time_at_location_distribution(nodes, location))
         end = min(duration - 1, 3)
         assert (session.span_probability(location, 0, end)
-                == span_probability(nodes, location, 0, end))
+                == oracle.span_probability(nodes, location, 0, end))
 
-    assert session.most_likely_trajectory() == most_likely_trajectory(nodes)
+    assert (session.most_likely_trajectory()
+            == oracle.most_likely_trajectory(nodes))
     for k in (1, 3, 10_000):
-        assert session.top_k_trajectories(k) == top_k_trajectories(nodes, k)
+        assert (session.top_k_trajectories(k)
+                == oracle.top_k_trajectories(nodes, k))
 
-    query = TrajectoryQuery("? B[1] ?" if duration >= 3 else "B[1]")
-    assert query.probability(flat) == query.probability(nodes)
+    pattern = "? B[1] ?" if duration >= 3 else "B[1]"
+    assert (session.match_probability(pattern)
+            == oracle.match_probability(nodes, pattern))
+
+
+def _assert_parity_on_every_form(nodes, flats):
+    # All flat forms are one value: to_flat == native (both builders).
+    assert flats[0] == flats[1] == flats[2]
+    for flat in flats:
+        _assert_query_parity(nodes, flat)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "graph.ctg")
+        save_ctg(flats[0], path)
+        with load_ctg(path) as mapped:
+            _assert_query_parity(nodes, mapped)
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,10 +141,8 @@ def test_query_parity_on_random_instances(lsequence, constraints):
     if forms is None:
         return
     nodes, flats = forms
-    # All flat forms are one value: to_flat == native (both builders).
-    assert flats[0] == flats[1] == flats[2]
     flats[0].validate()
-    _assert_query_parity(nodes, flats[0])
+    _assert_parity_on_every_form(nodes, flats)
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,8 +154,7 @@ def test_query_parity_on_tt_heavy_instances(lsequence, constraints):
     if forms is None:
         return
     nodes, flats = forms
-    assert flats[0] == flats[1] == flats[2]
-    _assert_query_parity(nodes, flats[0])
+    _assert_parity_on_every_form(nodes, flats)
 
 
 # ----------------------------------------------------------------------
@@ -151,13 +180,14 @@ def test_map_tie_break_is_lexicographic():
 def test_map_tie_break_identical_on_flat_path():
     nodes = _tied_graph()
     session = QuerySession(nodes.to_flat())
-    assert session.most_likely_trajectory() == most_likely_trajectory(nodes)
+    assert (session.most_likely_trajectory()
+            == oracle.most_likely_trajectory(nodes))
 
 
 def test_top_k_ties_ordered_identically_across_paths():
     nodes = _tied_graph()
     session = QuerySession(nodes.to_flat())
-    expected = top_k_trajectories(nodes, 4)
+    expected = oracle.top_k_trajectories(nodes, 4)
     assert [t for t, _ in expected] == [
         ("B", "A", "B"), ("B", "A", "D"), ("C", "A", "B"), ("C", "A", "D")]
     assert session.top_k_trajectories(4) == expected
@@ -174,7 +204,8 @@ def test_map_tie_break_prefers_earlier_divergence():
     trajectory, _ = most_likely_trajectory(nodes)
     assert trajectory == ("A", "A")
     session = QuerySession(nodes.to_flat())
-    assert session.most_likely_trajectory() == most_likely_trajectory(nodes)
+    assert (session.most_likely_trajectory()
+            == oracle.most_likely_trajectory(nodes))
 
 
 # ----------------------------------------------------------------------
@@ -183,11 +214,8 @@ def test_map_tie_break_prefers_earlier_divergence():
 def test_top_k_exhausts_at_num_valid_trajectories():
     nodes = _tied_graph()
     assert nodes.num_valid_trajectories() == 4
-    for graphlike in (nodes, None):
-        if graphlike is None:
-            result = QuerySession(nodes.to_flat()).top_k_trajectories(100)
-        else:
-            result = top_k_trajectories(graphlike, 100)
+    for result in (top_k_trajectories(nodes, 100),
+                   oracle.top_k_trajectories(nodes, 100)):
         assert len(result) == 4
         assert sum(p for _, p in result) == pytest.approx(1.0)
 
@@ -197,7 +225,7 @@ def test_top_k_rejects_non_positive_k():
     with pytest.raises(QueryError):
         top_k_trajectories(nodes, 0)
     with pytest.raises(QueryError):
-        QuerySession(nodes.to_flat()).top_k_trajectories(0)
+        oracle.top_k_trajectories(nodes, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,9 +237,9 @@ def test_top_k_length_contract_on_random_instances(lsequence, constraints,
     if forms is None:
         return
     nodes, flats = forms
-    result = top_k_trajectories(nodes, k)
+    result = QuerySession(flats[0]).top_k_trajectories(k)
     assert len(result) == min(k, nodes.num_valid_trajectories())
-    assert result == QuerySession(flats[0]).top_k_trajectories(k)
+    assert result == oracle.top_k_trajectories(nodes, k)
     # Sorted by probability, descending.
     probabilities = [p for _, p in result]
     assert probabilities == sorted(probabilities, reverse=True)
@@ -249,3 +277,90 @@ def test_flat_equality_ignores_stats():
     assert isinstance(reference, FlatCTGraph)
     assert isinstance(built, FlatCTGraph)
     assert reference == built  # stats differ (compare=False), values equal
+
+
+# ----------------------------------------------------------------------
+# every public function accepts every graph form
+# ----------------------------------------------------------------------
+STATEMENTS = ("STAY 1", "MATCH ? A[1] ?", "VISIT B", "SPAN A 1 1",
+              "DWELL B", "FIRST D", "EXPECTED", "BEST", "TOP 3", "ENTROPY")
+
+
+def _answers(graph, other, lsequence):
+    """Every public query answer on ``graph`` (``other`` is the second
+    object of the meeting queries)."""
+    answers = [stay_query(graph, tau) for tau in range(3)]
+    answers += [entropy_profile(graph), expected_visit_counts(graph),
+                most_likely_trajectory(graph), top_k_trajectories(graph, 4),
+                uncertainty_reduction(lsequence, graph),
+                TrajectoryQuery("? A[1] ?").probability(graph),
+                stay_accuracy_on(graph, 2, ("B", "A", "D")),
+                trajectory_accuracy_on(graph, "? D[1]", ("B", "A", "D"))]
+    for location in ("A", "B", "D", "Z"):
+        answers += [visit_probability(graph, location),
+                    span_probability(graph, location, 0, 1),
+                    time_at_location_distribution(graph, location),
+                    first_visit_distribution(graph, location)]
+    answers += [meeting_probability(graph, other),
+                meeting_time_distribution(other, graph),
+                colocation_profile(graph, other)]
+    answers += [ql.execute(graph, statement).value
+                for statement in STATEMENTS]
+    return answers
+
+
+def test_every_query_accepts_every_graph_form(tmp_path):
+    """``CTGraph``, ``FlatCTGraph``, ``MappedCTGraph`` and ``QuerySession``
+    inputs give bit-identical answers, equal to the oracle's."""
+    lsequence = LSequence([{"B": 0.5, "C": 0.5}, {"A": 1.0},
+                           {"B": 0.5, "D": 0.5}])
+    nodes = _tied_graph()
+    other = build_ct_graph(
+        LSequence([{"B": 0.3, "C": 0.7}, {"A": 0.6, "B": 0.4},
+                   {"D": 0.8, "B": 0.2}]),
+        ConstraintSet([Unreachable("C", "B")]))
+    save_ctg(nodes, tmp_path / "tied.ctg")
+    with load_ctg(tmp_path / "tied.ctg") as mapped:
+        forms = (nodes, nodes.to_flat(), mapped, QuerySession(nodes))
+        answers = [_answers(form, other, lsequence) for form in forms]
+    for got in answers[1:]:
+        assert got == answers[0]
+
+    expected = [oracle.stay_query(nodes, tau) for tau in range(3)]
+    assert answers[0][:3] == expected
+    assert (meeting_time_distribution(nodes, other)
+            == oracle.meeting_time_distribution(nodes, other))
+    assert (colocation_profile(nodes, other)
+            == oracle.colocation_profile(nodes, other))
+    for statement in STATEMENTS:
+        assert (ql.execute(nodes, statement).value
+                == oracle.execute_reference(nodes, statement))
+
+
+def test_joint_graphs_answer_through_sessions():
+    """A ``JointGraph`` converts through ``to_flat()`` like a ``CTGraph``:
+    QL statements, pattern probabilities and meetings all run on it."""
+    constraints = ConstraintSet([Unreachable("A", "C"), Latency("B", 2)])
+    graph_a = build_ct_graph(
+        LSequence([{"A": 0.5, "B": 0.5}, {"B": 0.7, "C": 0.3},
+                   {"B": 0.5, "C": 0.5}]), constraints)
+    graph_b = build_ct_graph(
+        LSequence([{"A": 0.2, "B": 0.8}, {"B": 0.4, "C": 0.6},
+                   {"B": 0.9, "C": 0.1}]), constraints)
+    joint = condition_on_meeting(graph_a, graph_b)
+
+    for tau in range(joint.duration):
+        assert (ql.execute(joint, f"STAY {tau}").value
+                == joint.location_marginal(tau))
+    for text in ("? B[1] ?", "? C[1]", "A[1] ?", "? B[2]"):
+        assert (TrajectoryQuery(text).probability(joint)
+                == oracle.match_probability(joint, text))
+        assert (ql.execute(joint, f"MATCH {text}").value
+                == TrajectoryQuery(text).probability(joint))
+    paths = dict(joint.paths())
+    best = max(paths.values())
+    trajectory, probability = ql.execute(joint, "BEST").value
+    assert paths[trajectory] == pytest.approx(probability)
+    assert probability == pytest.approx(best)
+    assert meeting_probability(joint, graph_a) == pytest.approx(
+        meeting_probability(graph_a, joint))
