@@ -23,6 +23,7 @@ from repro import (
     build_ct_graph,
     calibrate,
     corridor_map,
+    exact_matrix,
     infer_constraints,
     place_default_readers,
     stay_query,
@@ -42,7 +43,7 @@ def main() -> None:
     rng = np.random.default_rng(42)
     grid = Grid(building, cell_size=0.5)
     readers = place_default_readers(building)
-    matrix = calibrate(readers, grid, rng=rng)
+    matrix = calibrate(exact_matrix(readers, grid), rng=rng)
     prior = PriorModel(matrix)
     print(f"  {len(readers)} readers, {grid.num_cells} calibration cells")
 

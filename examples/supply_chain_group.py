@@ -53,7 +53,7 @@ def main() -> None:
     grid = Grid(warehouse)
     readers = place_default_readers(warehouse)
     truth_matrix = exact_matrix(readers, grid)
-    prior = PriorModel(calibrate(readers, grid, rng=rng))
+    prior = PriorModel(calibrate(truth_matrix, rng=rng))
 
     # One physical route, two independent tag streams.
     movement = MovementParameters(velocity_range=(0.8, 1.5),

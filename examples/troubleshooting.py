@@ -54,11 +54,11 @@ def main() -> None:
     rng = np.random.default_rng(21)
     grid = Grid(building)
     readers = place_default_readers(building)
-    prior = PriorModel(calibrate(readers, grid, rng=rng))
+    truth_matrix = exact_matrix(readers, grid)
+    prior = PriorModel(calibrate(truth_matrix, rng=rng))
 
     truth = TrajectoryGenerator(building, rng=rng).generate(180)
-    readings = ReadingGenerator(exact_matrix(readers, grid),
-                                rng).generate(truth)
+    readings = ReadingGenerator(truth_matrix, rng).generate(truth)
 
     # --- 1. a ghost burst that conditioning absorbs -----------------------
     burst_at = 60

@@ -13,7 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-__all__ = ["Point", "Rect", "Segment"]
+__all__ = ["Point", "Rect", "Segment", "ORIENTATION_TOLERANCE"]
+
+#: Absolute tolerance of the orientation and on-segment tests: a triple whose
+#: cross product is below it counts as collinear.  Vectorised copies of
+#: :meth:`Segment.intersects` import it so both agree bit for bit.
+ORIENTATION_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,15 +120,16 @@ class Rect:
 def _orientation(p: Point, q: Point, r: Point) -> int:
     """Orientation of the ordered triple: 0 collinear, 1 clockwise, -1 ccw."""
     value = (q.y - p.y) * (r.x - q.x) - (q.x - p.x) * (r.y - q.y)
-    if abs(value) < 1e-12:
+    if abs(value) < ORIENTATION_TOLERANCE:
         return 0
     return 1 if value > 0 else -1
 
 
 def _on_segment(p: Point, q: Point, r: Point) -> bool:
     """Whether ``q`` lies on the segment ``p``–``r`` assuming collinearity."""
-    return (min(p.x, r.x) - 1e-12 <= q.x <= max(p.x, r.x) + 1e-12
-            and min(p.y, r.y) - 1e-12 <= q.y <= max(p.y, r.y) + 1e-12)
+    tol = ORIENTATION_TOLERANCE
+    return (min(p.x, r.x) - tol <= q.x <= max(p.x, r.x) + tol
+            and min(p.y, r.y) - tol <= q.y <= max(p.y, r.y) + tol)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.errors import MapModelError, UnknownLocationError
 from repro.geometry import Point, Rect, Segment
 
-__all__ = ["Location", "Door", "Building"]
+__all__ = ["Location", "Door", "Building", "WALL_TOUCH_TOLERANCE"]
+
+#: A signal path whose endpoint lies within this distance of a wall does not
+#: cross that wall (a reader mounted on it, a tag at a door point).
+WALL_TOUCH_TOLERANCE = 1e-9
 
 #: Location kinds. ``room`` locations are where objects dwell; ``corridor``
 #: and ``staircase`` are transit locations (objects cross them quickly),
@@ -281,12 +285,17 @@ class Building:
         calibrated with that convention in mind.
         """
         path = Segment(a, b)
-        crossings = 0
-        for loc in self.locations_on_floor(floor):
-            for edge in loc.rect.edges():
-                if _properly_crosses(path, edge):
-                    crossings += 1
-        return crossings
+        return sum(1 for wall in self.walls_on(floor)
+                   if _properly_crosses(path, wall))
+
+    def walls_on(self, floor: int) -> Tuple[Segment, ...]:
+        """The wall segments :meth:`walls_between` tests on ``floor``.
+
+        Every footprint edge of every location on the floor, locations in
+        insertion order and edges in :meth:`Rect.edges` order.
+        """
+        return tuple(edge for loc in self.locations_on_floor(floor)
+                     for edge in loc.rect.edges())
 
     # ------------------------------------------------------------------
     # validation
@@ -356,6 +365,6 @@ def _properly_crosses(path: Segment, wall: Segment) -> bool:
         return False
     # Endpoint touches do not count as a wall in the way.
     for endpoint in (path.a, path.b):
-        if wall.distance_to_point(endpoint) < 1e-9:
+        if wall.distance_to_point(endpoint) < WALL_TOUCH_TOLERANCE:
             return False
     return True

@@ -76,11 +76,16 @@ class Grid:
             self._origins[floor] = (bounds.x0, bounds.y0)
             nx = int(math.ceil((bounds.x1 - bounds.x0) / size))
             ny = int(math.ceil((bounds.y1 - bounds.y0) / size))
+            # Building.location_at's lookup with the floor's footprints
+            # hoisted: the first location in insertion order wins.
+            footprints = [(loc.name, loc.rect)
+                          for loc in self.building.locations_on_floor(floor)]
             for iy in range(ny):
                 for ix in range(nx):
                     center = Point(bounds.x0 + (ix + 0.5) * size,
                                    bounds.y0 + (iy + 0.5) * size)
-                    location = self.building.location_at(floor, center)
+                    location = next((name for name, rect in footprints
+                                     if rect.contains(center)), None)
                     if location is None:
                         continue
                     index = len(self._cells)

@@ -139,7 +139,7 @@ def build_dataset(building: Building, *,
     grid = Grid(building, cell_size)
     readers = place_default_readers(building)
     true = exact_matrix(readers, grid)
-    calibrated = calibrate(readers, grid, epochs=calibration_epochs, rng=rng)
+    calibrated = calibrate(true, epochs=calibration_epochs, rng=rng)
     prior = PriorModel(calibrated, negative_evidence=negative_evidence,
                        min_probability=min_probability)
     distances = WalkingDistances(building)

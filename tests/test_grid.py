@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MapModelError
 from repro.geometry import Point
 from repro.mapmodel.grid import Grid
+from repro.mapmodel.random_plans import random_building
 
 
 class TestGridConstruction:
@@ -60,6 +61,22 @@ class TestCellLookup:
             looked_up = grid.cell_at(cell.floor, cell.center)
             assert looked_up is not None
             assert looked_up.index == cell.index
+
+    def test_cells_take_location_at_tie_break(self):
+        np = pytest.importorskip("numpy", exc_type=ImportError)
+        # 2.5 m rooms on a 1 m grid put cell centres on shared walls, where
+        # the first location in insertion order must win.
+        building = random_building(num_floors=2, rooms_x=3, rooms_y=2,
+                                   room_size=2.5,
+                                   rng=np.random.default_rng(0))
+        grid = Grid(building, 1.0)
+        on_walls = 0
+        for cell in grid.cells:
+            assert cell.location == building.location_at(cell.floor,
+                                                         cell.center)
+            on_walls += sum(loc.rect.contains(cell.center) for loc in
+                            building.locations_on_floor(cell.floor)) > 1
+        assert on_walls > 0
 
 
 class TestLocationIndexArray:

@@ -14,7 +14,7 @@ from repro.core.constraints import (
     Unreachable,
 )
 from repro.core.lsequence import LSequence, ReadingSequence
-from repro.errors import ReproError
+from repro.errors import CalibrationError, ReproError
 from repro.io.graphs import ctgraph_to_dict, ctgraph_to_dot, save_ctgraph
 from repro.io.jsonio import (
     load_building,
@@ -28,7 +28,7 @@ from repro.io.jsonio import (
 )
 from repro.io.matrices import load_matrix, save_matrix
 from repro.mapmodel.grid import Grid
-from repro.rfid.calibration import calibrate
+from repro.rfid.calibration import calibrate, exact_matrix
 from repro.rfid.readers import place_default_readers
 from repro.simulation.trajectories import TrajectoryGenerator
 
@@ -110,7 +110,8 @@ class TestMatrixRoundTrip:
     def test_round_trip(self, two_rooms, tmp_path):
         grid = Grid(two_rooms, 1.0)
         readers = place_default_readers(two_rooms)
-        matrix = calibrate(readers, grid, rng=np.random.default_rng(1))
+        matrix = calibrate(exact_matrix(readers, grid),
+                           rng=np.random.default_rng(1))
         path = tmp_path / "matrix.npz"
         save_matrix(matrix, path)
         loaded = load_matrix(path, two_rooms)
@@ -121,11 +122,24 @@ class TestMatrixRoundTrip:
     def test_wrong_building_rejected(self, two_rooms, corridor4, tmp_path):
         grid = Grid(two_rooms, 1.0)
         readers = place_default_readers(two_rooms)
-        matrix = calibrate(readers, grid, rng=np.random.default_rng(1))
+        matrix = calibrate(exact_matrix(readers, grid),
+                           rng=np.random.default_rng(1))
         path = tmp_path / "matrix.npz"
         save_matrix(matrix, path)
         with pytest.raises(ReproError):
             load_matrix(path, corridor4)
+
+    def test_non_finite_values_rejected(self, two_rooms, tmp_path):
+        grid = Grid(two_rooms, 1.0)
+        readers = place_default_readers(two_rooms)
+        path = tmp_path / "matrix.npz"
+        save_matrix(exact_matrix(readers, grid), path)
+        with np.load(path, allow_pickle=False) as archive:
+            fields = {key: archive[key] for key in archive.files}
+        fields["values"][0, 0] = np.nan
+        np.savez_compressed(path, **fields)
+        with pytest.raises(CalibrationError, match="finite"):
+            load_matrix(path, two_rooms)
 
 
 class TestCtGraphExport:

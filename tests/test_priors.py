@@ -158,8 +158,9 @@ class TestEndToEnd:
     def test_real_building_distributions(self, one_floor):
         grid = Grid(one_floor, 0.5)
         model = place_default_readers(one_floor)
-        from repro.rfid.calibration import calibrate
-        matrix = calibrate(model, grid, rng=np.random.default_rng(11))
+        from repro.rfid.calibration import calibrate, exact_matrix
+        matrix = calibrate(exact_matrix(model, grid),
+                           rng=np.random.default_rng(11))
         prior = PriorModel(matrix)
         # A reading from a room reader should put most mass on that room.
         room_reader = next(name for name in model.reader_names
