@@ -18,6 +18,7 @@ from repro.core.incremental import IncrementalCleaner
 from repro.core.lsequence import LSequence
 from repro.experiments.report import format_table
 from repro.inference import infer_constraints
+from repro.queries.session import QuerySession
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,10 @@ def test_streaming_report(benchmark, case, capsys):
 
     # Same conditioned distribution either way.
     assert streamed.num_valid_trajectories() == batch.num_valid_trajectories()
+    batch_session = QuerySession(batch)
+    streamed_session = QuerySession(streamed)
     for tau in range(0, batch.duration, max(1, batch.duration // 10)):
-        expected = batch.location_marginal(tau)
-        got = streamed.location_marginal(tau)
+        expected = batch_session.location_marginal(tau)
+        got = streamed_session.location_marginal(tau)
         for location, probability in expected.items():
             assert abs(got.get(location, 0.0) - probability) < 1e-9

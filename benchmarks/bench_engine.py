@@ -8,7 +8,7 @@ counters included) and records how much faster it is on the
 long-duration periodic workloads of ``bench_scaling``:
 
 * **reference** — ``build_ct_graph_reference``, the printed Algorithm 1
-  over :class:`~repro.core.ctgraph.CTNode` objects;
+  over ``CTNode`` objects (``tests/reference_graph.py``);
 * **compact (cold)** — the default ``build_ct_graph(ls, cs)`` call, timed
   end to end with a fresh transition cache per build: the single-object
   cost a CLI ``clean`` pays;
@@ -21,7 +21,7 @@ Each duration gates the default call: it must never be more than
 ``default_ok`` and gated by ``--check``.
 
 Since schema v3 the sweep carries a **backend axis** (``--backend``, the
-flat-materialised build re-timed under ``CleaningOptions(backend=...)``)
+build re-timed under ``CleaningOptions(backend=...)``)
 and a **kernel block**: a wide periodic workload (``KERNEL_WIDTH``
 locations, so each edge level carries thousands of edges) cleaned to
 flat form under both sweep backends.  ``kernel_speedup`` is the ratio of
@@ -134,12 +134,6 @@ def make_wide_instance(duration: int,
     return LSequence(rows), constraints
 
 
-def _flat(graph) -> Dict[str, object]:
-    """The graph's flat (pickle) form minus the stats/timing block."""
-    state = graph.__getstate__()
-    return {key: value for key, value in state.items() if key != "stats"}
-
-
 def _best_of(repeats: int, build) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -167,8 +161,8 @@ def _timed_builds(repeats: int, build):
 def run_kernel(duration: int, repeats: int) -> Dict[str, object]:
     """The kernel block: python vs numpy flat builds of the wide workload."""
     lsequence, constraints = make_wide_instance(duration)
-    python_options = CleaningOptions(materialize="flat", backend="python")
-    numpy_options = CleaningOptions(materialize="flat", backend="numpy")
+    python_options = CleaningOptions(backend="python")
+    numpy_options = CleaningOptions(backend="numpy")
     python_build, python_sweep, oracle = _timed_builds(
         repeats, lambda: build_ct_graph(lsequence, constraints,
                                         python_options))
@@ -208,7 +202,7 @@ def run_kernel(duration: int, repeats: int) -> Dict[str, object]:
 
 def run(durations: Sequence[int], repeats: int, backend: str,
         kernel_duration: int, kernel_repeats: int) -> Dict[str, object]:
-    flat_options = CleaningOptions(materialize="flat", backend=backend)
+    flat_options = CleaningOptions(backend=backend)
     results: List[Dict[str, object]] = []
     all_identical = True
     all_default_ok = True
@@ -224,9 +218,9 @@ def run(durations: Sequence[int], repeats: int, backend: str,
         reference_graph = reference()
         compact_graph = default()
         flat_graph = build_ct_graph(lsequence, CONSTRAINTS, flat_options)
-        identical = (_flat(reference_graph) == _flat(compact_graph)
+        identical = (reference_graph.to_flat() == compact_graph
                      and reference_graph.stats == compact_graph.stats
-                     and flat_graph == compact_graph.to_flat())
+                     and flat_graph == compact_graph)
         all_identical = all_identical and identical
 
         reference_seconds = _best_of(repeats, reference)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.algorithm import CleaningOptions, build_ct_graph
+from repro.core.algorithm import build_ct_graph
 from repro.core.lsequence import LSequence
 from repro.experiments.harness import (
     CONSTRAINT_CONFIGS,
@@ -32,8 +32,7 @@ def graphs(syn1, constraint_cache):
     trajectory = syn1.trajectories[duration][0]
     lsequence = LSequence.from_readings(trajectory.readings, syn1.prior)
     return {
-        name: build_ct_graph(lsequence, constraint_cache(syn1, kinds),
-                             CleaningOptions(materialize="flat"))
+        name: build_ct_graph(lsequence, constraint_cache(syn1, kinds))
         for name, kinds in _CONFIG_ITEMS
     }
 

@@ -10,17 +10,21 @@ realistic analysis session: clean one long periodic l-sequence, then ask
 eleven questions of it (marginals, entropy, visit/first-visit/span, a
 pattern match, the MAP trajectory and the top-10 trajectories).
 
-* **node leg** — the default ``build_ct_graph`` call materialising
-  ``CTNode`` objects, each statement answered by the oracle
-  (``execute_reference`` of ``tests/reference_queries.py``);
-* **flat leg** — the same cleaning with ``materialize="flat"`` (no
-  ``CTNode`` is ever built), all statements answered through one shared
-  :class:`~repro.queries.session.QuerySession` via
+* **node leg** — the test oracle end to end: the reference builder
+  (``tests/reference_builder.py``) cleans to its ``CTNode`` graph, and
+  each statement is answered by the oracle DPs (``execute_reference`` of
+  ``tests/reference_queries.py``);
+* **flat leg** — production end to end: the default ``build_ct_graph``
+  call (the flat columns are its only output), all statements answered
+  through one shared :class:`~repro.queries.session.QuerySession` via
   ``repro.queries.ql.execute``.
 
-Both legs run the same Algorithm 1 build, so the measured gap is the
-query layer + materialisation, not the build (``bench_engine`` covers
-that).  Also records ``estimate_size_bytes()`` for both forms.
+Since schema v5 the node leg builds with the oracle builder, because
+production no longer materialises ``CTNode`` objects at all; its timing
+therefore covers the oracle build plus the oracle queries, where v4
+timed the production build plus the oracle queries.  ``speedup`` is the
+whole-pipeline ratio of the two legs.  Also records
+``estimate_size_bytes()`` for both forms.
 
 Because the node leg is the independent oracle, ``parity`` compares
 production against a second implementation, not the session against
@@ -79,10 +83,12 @@ from repro.queries.session import QuerySession
 
 # The node leg is the test oracle, which lives with the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.reference_builder import build_ct_graph_reference  # noqa: E402
 from tests.reference_queries import execute_reference  # noqa: E402
 
-#: v4: the node leg answers through the test oracle.
-SCHEMA_VERSION = 4
+#: v4: the node leg answers through the test oracle.  v5: the node leg
+#: also builds through the test oracle (see the module docstring).
+SCHEMA_VERSION = 5
 
 #: The ``bench_engine``/``bench_scaling`` workload: DU + LT + TT all
 #: bind, keeping the cleaned graphs branchy enough that queries have
@@ -152,8 +158,8 @@ def statements(duration: int) -> List[str]:
 
 def _node_pipeline(lsequence: LSequence,
                    session_statements: Sequence[str]) -> Tuple[list, int]:
-    """Clean to ``CTNode`` form, answer via the oracle's node DPs."""
-    graph = build_ct_graph(lsequence, CONSTRAINTS)
+    """Clean with the oracle builder, answer via the oracle's node DPs."""
+    graph = build_ct_graph_reference(lsequence, CONSTRAINTS)
     results = [execute_reference(graph, statement)
                for statement in session_statements]
     return results, graph.estimate_size_bytes()
@@ -162,10 +168,9 @@ def _node_pipeline(lsequence: LSequence,
 def _flat_pipeline(lsequence: LSequence,
                    session_statements: Sequence[str],
                    backend: str) -> Tuple[list, int]:
-    """Clean straight to flat form, answer via one ``QuerySession``."""
+    """Clean with production, answer via one ``QuerySession``."""
     graph = build_ct_graph(lsequence, CONSTRAINTS,
-                           CleaningOptions(materialize="flat",
-                                           backend=backend))
+                           CleaningOptions(backend=backend))
     session = QuerySession(graph, backend=backend)
     results = [ql.execute(session, statement)
                for statement in session_statements]
@@ -238,9 +243,8 @@ def _kernel_bundle(session: QuerySession, names: Sequence[str],
 def run_kernel(duration: int, repeats: int) -> Dict[str, object]:
     """The kernel block: python vs warm-views numpy session bundles."""
     lsequence, constraints, names = make_wide_instance(duration)
-    graph = build_ct_graph(
-        lsequence, constraints,
-        CleaningOptions(materialize="flat", backend="auto"))
+    graph = build_ct_graph(lsequence, constraints,
+                           CleaningOptions(backend="auto"))
     levels = max(1, duration - 1)
     block: Dict[str, object] = {
         "measured": False,

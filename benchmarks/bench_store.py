@@ -112,9 +112,8 @@ def run(duration: int, repeats: int, backend: str,
 
         # -- write: engine -> tuples -> pickle  vs  engine -> .ctg ------
         def pickle_pipeline():
-            graph = build_ct_graph(
-                lsequence, constraints,
-                CleaningOptions(materialize="flat", backend=backend))
+            graph = build_ct_graph(lsequence, constraints,
+                                   CleaningOptions(backend=backend))
             with open(pickle_path, "wb") as handle:
                 pickle.dump(graph, handle,
                             protocol=pickle.HIGHEST_PROTOCOL)

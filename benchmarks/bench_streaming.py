@@ -143,7 +143,7 @@ def run_kernel_leg(rows: Sequence[Dict[str, float]], window: int,
                       "parity": None})
         return block
 
-    options = CleaningOptions(materialize="flat", backend="numpy")
+    options = CleaningOptions(backend="numpy")
     kernel = StreamingCleaner(stream_constraints(), window=window,
                               options=options)
     started = time.perf_counter()
@@ -154,7 +154,7 @@ def run_kernel_leg(rows: Sequence[Dict[str, float]], window: int,
     # -- lockstep parity over the prefix (untimed) ---------------------
     prefix = min(len(rows), PARITY_PREFIX)
     oracle = StreamingCleaner(stream_constraints(), window=window,
-                              options=CleaningOptions(materialize="flat"))
+                              options=CleaningOptions())
     shadow = StreamingCleaner(stream_constraints(), window=window,
                               options=options)
     filtered_close = True
@@ -266,7 +266,7 @@ def run(duration: int, window: int, smoke: bool,
         backend: str) -> Dict[str, object]:
     """Execute the streaming workload; returns the JSON payload."""
     constraints = stream_constraints()
-    options = CleaningOptions(materialize="flat")
+    options = CleaningOptions()
     rng = random.Random(SEED)
     rows = [synthetic_row(rng) for _ in range(duration)]
 

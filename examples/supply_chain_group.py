@@ -80,10 +80,11 @@ def main() -> None:
     print("per-step accuracy of the position estimate (truth probability):")
     singles, joints = [], []
     pallet_session = QuerySession(pallet)  # one forward pass for all steps
+    together_session = QuerySession(together)
     for tau in range(route.duration):
         truth = route.locations[tau]
         singles.append(stay_query(pallet_session, tau).get(truth, 0.0))
-        joints.append(together.location_marginal(tau).get(truth, 0.0))
+        joints.append(stay_query(together_session, tau).get(truth, 0.0))
     print(f"  pallet alone : {np.mean(singles):.3f}")
     print(f"  group-pooled : {np.mean(joints):.3f}")
     print(f"  (uncertainty reduction of cleaning alone: "

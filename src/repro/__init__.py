@@ -30,10 +30,9 @@ from repro.core.constraints import (
     Unreachable,
 )
 from repro.baselines import BeamCleaner, ParticleFilter, SmoothingFilter
-from repro.core.ctgraph import CTGraph, CTNode
-from repro.core.flatgraph import FlatCTGraph
+from repro.core.flatgraph import CTNode, FlatCTGraph
 from repro.core.diagnostics import InconsistencyReport, diagnose
-from repro.core.groups import JointGraph, condition_group, condition_on_meeting
+from repro.core.groups import condition_group, condition_on_meeting
 from repro.core.incremental import IncrementalCleaner
 from repro.core.lsequence import LSequence, Reading, ReadingSequence
 from repro.core.naive import NaiveConditioner
@@ -163,11 +162,11 @@ __all__ = [
     "infer_tt_constraints", "infer_lt_constraints",
     # core cleaning
     "Reading", "ReadingSequence", "LSequence",
-    "CTGraph", "CTNode", "FlatCTGraph", "CleaningOptions", "CleaningStats",
+    "CTNode", "FlatCTGraph", "CleaningOptions", "CleaningStats",
     "build_ct_graph", "clean", "NaiveConditioner",
     "TrajectorySampler", "rejection_sample",
     "is_valid_trajectory", "violations",
-    "IncrementalCleaner", "JointGraph", "condition_on_meeting",
+    "IncrementalCleaner", "condition_on_meeting",
     "condition_group",
     # streaming
     "StreamingCleaner", "StreamSessionManager",

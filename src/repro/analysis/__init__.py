@@ -16,7 +16,7 @@ C001
 
 Three layers expose it: this API (:func:`analyze`), the ``rfid-ctg
 analyze`` CLI subcommand (``--strict`` exits 1 on ERROR, ``--advise``
-adds C010's size, materialisation and backend advice), and the opt-in
+adds C010's size and backend advice), and the opt-in
 ``precheck`` option of :class:`repro.core.algorithm.CleaningOptions`.
 ``docs/analysis.md`` documents every rule code.
 """

@@ -75,7 +75,7 @@ RULES: Tuple[RuleSpec, ...] = (
              True, check_dead_level_candidates),
     RuleSpec("C009", "envelope zero-mass proof",
              True, check_envelope_zero_mass),
-    RuleSpec("C010", "size, materialisation and backend advice",
+    RuleSpec("C010", "size and backend advice",
              True, check_advice, advisory=True),
 )
 
@@ -111,8 +111,8 @@ def analyze(constraints: ConstraintSet,
     pass ``readings`` as either a raw
     :class:`~repro.core.lsequence.ReadingSequence` (with ``prior``) or an
     already-interpreted :class:`~repro.core.lsequence.LSequence`.
-    ``advise=True`` additionally runs the advisory rules (C010's size,
-    materialisation and backend verdict).
+    ``advise=True`` additionally runs the advisory rules (C010's size
+    and backend verdict).
 
     Diagnostics are emitted in rule-code order and are deterministic for a
     given input (rules iterate sorted views).

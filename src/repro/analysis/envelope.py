@@ -32,10 +32,9 @@ width_bounds` is a sound per-level upper bound on ct-graph width (C007),
   the complete test.
 
 The byte cost model shared by C006/C010 also lives here: approximate
-CPython-on-64-bit constants mirroring ``CTGraph.estimate_size_bytes`` and
-``FlatCTGraph.estimate_size_bytes``.  Like those estimators the absolute
-numbers are indicative; the node-form/flat-form *ratio* is the meaningful
-signal.
+CPython-on-64-bit constants mirroring ``FlatCTGraph.estimate_size_bytes``
+(indicative, like that estimator) and the exact column widths of the
+``.ctg`` format.
 """
 
 from __future__ import annotations
@@ -57,19 +56,10 @@ __all__ = [
     "DepartureInterval",
     "FLAT_BYTES_PER_EDGE",
     "FLAT_BYTES_PER_NODE",
-    "NODE_BYTES_PER_EDGE",
-    "NODE_BYTES_PER_NODE",
     "estimate_ctg_bytes",
     "estimate_graph_bytes",
 ]
 
-#: Approximate bytes per materialised ``CTNode`` (slots object + empty
-#: edges dict + parents list + departures tuple), mirroring
-#: ``CTGraph.estimate_size_bytes``.
-NODE_BYTES_PER_NODE = 176
-#: Approximate bytes each edge adds in node form (edges-dict entry, parent
-#: slot, boxed probability).
-NODE_BYTES_PER_EDGE = 96
 #: Approximate bytes per node in ``FlatCTGraph`` form (interned ids in
 #: shared tuples), mirroring ``FlatCTGraph.estimate_size_bytes``.
 FLAT_BYTES_PER_NODE = 18
@@ -90,13 +80,10 @@ CTG_FIXED_BYTES = 512
 
 
 def estimate_graph_bytes(node_counts: Sequence[int],
-                         edge_counts: Sequence[int]) -> Tuple[int, int]:
-    """``(node_form_bytes, flat_form_bytes)`` for a graph of that shape."""
-    nodes = sum(node_counts)
-    edges = sum(edge_counts)
-    node_form = NODE_BYTES_PER_NODE * nodes + NODE_BYTES_PER_EDGE * edges
-    flat_form = FLAT_BYTES_PER_NODE * nodes + FLAT_BYTES_PER_EDGE * edges
-    return node_form, flat_form
+                         edge_counts: Sequence[int]) -> int:
+    """Estimated in-memory bytes of a ``FlatCTGraph`` of that shape."""
+    return (FLAT_BYTES_PER_NODE * sum(node_counts)
+            + FLAT_BYTES_PER_EDGE * sum(edge_counts))
 
 
 def estimate_ctg_bytes(node_counts: Sequence[int],

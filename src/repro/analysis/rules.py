@@ -20,7 +20,7 @@ readings-specific and polynomial.
 | C007 | INFO     | abstract width envelope: tighter per-level node bound |
 | C008 | WARNING  | dead support candidates / forced single-location levels |
 | C009 | ERROR    | interval envelope empties a level: zero mass, proved early |
-| C010 | INFO     | size, materialisation and backend advice (``--advise``) |
+| C010 | INFO     | size and backend advice (``--advise``) |
 """
 
 from __future__ import annotations
@@ -280,13 +280,8 @@ def ctgraph_size_bounds(lsequence: LSequence,
 
 
 def check_blowup_estimate(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Report the C006 size bound so callers can budget memory up front.
-
-    Bytes are reported for *both* materialisations — ``CTNode`` objects
-    and the flat columnar form — since the flat form carries the same
-    graph in roughly a quarter of the memory; quoting only the node form
-    (as this rule originally did) overstates the real floor ~4x.
-    """
+    """Report the C006 size bound so callers can budget memory up front:
+    node states, and the bytes of the graph in memory and on disk."""
     if ctx.lsequence is None:
         return
     bounds = ctgraph_size_bounds(ctx.lsequence, ctx.constraints)
@@ -295,21 +290,18 @@ def check_blowup_estimate(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     # Each node has at most one successor per next-level support location.
     edge_bounds = [bounds[tau] * len(ctx.lsequence.support(tau + 1))
                    for tau in range(len(bounds) - 1)]
-    node_bytes, flat_bytes = estimate_graph_bytes(bounds, edge_bounds)
+    flat_bytes = estimate_graph_bytes(bounds, edge_bounds)
     ctg_bytes = estimate_ctg_bytes(bounds, edge_bounds)
     yield Diagnostic(
         "C006", Severity.INFO,
         f"ct-graph size upper bound: <= {sum(bounds)} node states over "
         f"{len(bounds)} timesteps (worst timestep {worst_at}: <= {worst}); "
-        f"~{node_bytes / 1024.0:.0f} KiB as CTNode objects, "
-        f"~{flat_bytes / 1024.0:.0f} KiB flat (materialize='flat'), "
-        f"~{ctg_bytes / 1024.0:.0f} KiB on disk as .ctg "
-        f"(materialize='store')",
+        f"~{flat_bytes / 1024.0:.0f} KiB in memory, "
+        f"~{ctg_bytes / 1024.0:.0f} KiB on disk as .ctg (output=...)",
         data={"total": sum(bounds), "worst": worst,
               "worst_timestep": worst_at, "per_timestep": bounds,
               "per_timestep_edges": edge_bounds,
-              "node_bytes": node_bytes, "flat_bytes": flat_bytes,
-              "ctg_bytes": ctg_bytes})
+              "flat_bytes": flat_bytes, "ctg_bytes": ctg_bytes})
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +401,7 @@ def check_envelope_zero_mass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# C010 — size, materialisation and backend advice (advisory, --advise)
+# C010 — size and backend advice (advisory, --advise)
 # ----------------------------------------------------------------------
 def check_advice(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """Surface the static verdict of
@@ -425,16 +417,12 @@ def check_advice(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                     envelope=ctx.envelope)
     yield Diagnostic(
         "C010", Severity.INFO,
-        f"advice: materialize={advice.materialize}, "
-        f"backend={advice.backend} — {advice.reason} "
-        f"(~{advice.predicted_node_bytes / 1024.0:.0f} KiB as nodes, "
-        f"~{advice.predicted_flat_bytes / 1024.0:.0f} KiB flat, "
+        f"advice: backend={advice.backend} — {advice.reason} "
+        f"(~{advice.predicted_flat_bytes / 1024.0:.0f} KiB in memory, "
         f"~{advice.predicted_ctg_bytes / 1024.0:.0f} KiB as .ctg)",
-        data={"materialize": advice.materialize,
-              "backend": advice.backend,
+        data={"backend": advice.backend,
               "predicted_states": advice.predicted_states,
               "peak_level_width": advice.peak_level_width,
-              "predicted_node_bytes": advice.predicted_node_bytes,
               "predicted_flat_bytes": advice.predicted_flat_bytes,
               "predicted_ctg_bytes": advice.predicted_ctg_bytes,
               "zero_mass": advice.zero_mass,

@@ -6,8 +6,8 @@ binding constraint, a *beam* over the forward frontier — keep only the
 ``beam_width`` states with the largest filtered mass per level — yields an
 approximate ct-graph at bounded cost.
 
-The result is a genuine :class:`~repro.core.ctgraph.CTGraph` (built by the
-exact backward sweep over the beam-restricted forward graph), so every
+The result is a genuine :class:`~repro.core.flatgraph.FlatCTGraph` (built
+by the exact backward sweep over the beam-restricted forward graph), so every
 downstream query works unchanged; only the represented trajectory set is a
 high-mass subset of the valid ones, and probabilities are conditioned
 within that subset.  The ablation benchmark measures what the truncation
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.core.algorithm import CleaningOptions
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph, CTNode
+from repro.core.flatgraph import CTNode, FlatCTGraph, flat_from_levels
 from repro.core.lsequence import LSequence
 from repro.core.nodes import (
     DepartureFilter,
@@ -47,7 +47,7 @@ class BeamCleaner:
         self.beam_width = beam_width
         self.options = options
 
-    def build(self, lsequence: LSequence) -> CTGraph:
+    def build(self, lsequence: LSequence) -> FlatCTGraph:
         """The beam-restricted conditioned graph of ``lsequence``."""
         constraints = self.constraints
         duration = lsequence.duration
@@ -132,7 +132,7 @@ class BeamCleaner:
             alpha.pop(node, None)
 
     def _condition(self, levels: List[Dict[NodeState, CTNode]],
-                   prior_source: Dict[CTNode, float]) -> CTGraph:
+                   prior_source: Dict[CTNode, float]) -> FlatCTGraph:
         """The exact backward sweep over whatever the beam retained."""
         duration = len(levels)
         survival: Dict[CTNode, float] = {
@@ -166,19 +166,12 @@ class BeamCleaner:
             if level_max > 0.0:
                 for node in level.values():
                     survival[node] /= level_max
-        for tau in range(1, duration):
-            for node in levels[tau].values():
-                node.parents = [p for p in node.parents if p.edges]
-
-        source_probabilities: Dict[CTNode, float] = {}
-        for node in levels[0].values():
-            source_probabilities[node] = (prior_source[node]
-                                          * survival.get(node, 1.0))
-        total = math.fsum(source_probabilities.values())
+        sources = list(levels[0].values())
+        source_probabilities = [prior_source[node] * survival.get(node, 1.0)
+                                for node in sources]
+        total = math.fsum(source_probabilities)
         if total <= 0.0:
             raise InconsistentReadingsError(
                 "the retained trajectories have zero prior mass")
-        for node in source_probabilities:
-            source_probabilities[node] /= total
-        return CTGraph([tuple(level.values()) for level in levels],
-                       source_probabilities)
+        return flat_from_levels([tuple(level.values()) for level in levels],
+                                [p / total for p in source_probabilities])

@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "diagnostic is present")
     analyze_cmd.add_argument("--advise", action="store_true",
                              help="also run the advisory rules (C010: "
-                                  "size, materialisation and backend advice; "
+                                  "size and backend advice; "
                                   "needs readings via --index)")
     analyze_cmd.add_argument("--format", choices=["text", "json"],
                              default="text", help="report rendering")
@@ -326,7 +326,7 @@ def _parse_kinds(text: str) -> List[str]:
     return kinds
 
 
-def _cleaned_graph(dataset, args, materialize: str = "auto"):
+def _cleaned_graph(dataset, args):
     trajectories = dataset.all_trajectories()
     if not 0 <= args.index < len(trajectories):
         raise SystemExit(f"--index must be in [0, {len(trajectories)})")
@@ -336,10 +336,9 @@ def _cleaned_graph(dataset, args, materialize: str = "auto"):
                                     kinds=kinds, distances=dataset.distances)
     lsequence = LSequence.from_readings(trajectory.readings, dataset.prior)
     # Commands without --backend funnel through here with the python
-    # backend; the query commands ask for the flat form.
+    # backend.
     options = CleaningOptions(
         backend=getattr(args, "backend", "python"),
-        materialize=materialize,
         output=getattr(args, "output", None))
     return trajectory, lsequence, build_ct_graph(lsequence, constraints,
                                                  options)
@@ -502,7 +501,7 @@ def _command_store(args: argparse.Namespace) -> int:
 def _command_query(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
-    trajectory, lsequence, graph = _cleaned_graph(dataset, args, "flat")
+    trajectory, lsequence, graph = _cleaned_graph(dataset, args)
     clean_seconds = time.perf_counter() - clean_started
     session = QuerySession(graph, backend=args.backend)
     truth = tuple(trajectory.truth.locations)
@@ -562,7 +561,7 @@ def _command_analytics(args: argparse.Namespace) -> int:
     )
 
     dataset = _load_dataset(args)
-    trajectory, lsequence, graph = _cleaned_graph(dataset, args, "flat")
+    trajectory, lsequence, graph = _cleaned_graph(dataset, args)
     session = QuerySession(graph)
     truth = tuple(trajectory.truth.locations)
 
@@ -640,7 +639,7 @@ def _command_ql(args: argparse.Namespace) -> int:
 
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
-    _, _, graph = _cleaned_graph(dataset, args, "flat")
+    _, _, graph = _cleaned_graph(dataset, args)
     clean_seconds = time.perf_counter() - clean_started
     session = QuerySession(graph, backend=args.backend)
     query_started = time.perf_counter()
@@ -752,12 +751,10 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_single(args: argparse.Namespace) -> int:
-    import json
-
     from repro.core.algorithm import CleaningOptions
     from repro.io.jsonio import load_constraints
     from repro.runtime.sessions import StreamSessionManager
-    from repro.runtime.shards import ServeEngine
+    from repro.runtime.shards import ServeEngine, parse_serve_line
 
     constraints = load_constraints(args.constraints_file)
     manager = StreamSessionManager(
@@ -780,17 +777,10 @@ def _serve_single(args: argparse.Namespace) -> int:
         raw = next(iterator, None)
         if raw is None:
             break
-        line = raw.strip()
-        if not line:
+        reading = parse_serve_line(raw, sys.stderr)
+        if reading is None:
             continue
-        try:
-            reading = json.loads(line)
-            object_id = reading["object"]
-            candidates = reading["candidates"]
-        except (ValueError, KeyError, TypeError):
-            print(f"serve: skipping malformed line: {line[:120]}",
-                  file=sys.stderr)
-            continue
+        object_id, candidates = reading
         _, out_lines, err_lines = engine.process(object_id, candidates)
         for out_line in out_lines:
             print(out_line, flush=True)
@@ -842,7 +832,7 @@ def _command_map(args: argparse.Namespace) -> int:
         print(f"\ncleaned position estimate at t={args.at} "
               f"(ground truth: {truth}):")
         print(render_marginal(dataset.building, args.floor,
-                              graph.location_marginal(args.at),
+                              QuerySession(graph).location_marginal(args.at),
                               scale=args.render_scale))
     return 0
 

@@ -4,7 +4,8 @@
 * :mod:`repro.core.lsequence` — readings and probabilistic l-sequences;
 * :mod:`repro.core.nodes` — location nodes ``(tau, l, delta, TL)`` and the
   successor relation (Definition 3);
-* :mod:`repro.core.ctgraph` — the conditioned-trajectory graph;
+* :mod:`repro.core.flatgraph` — the conditioned-trajectory graph, as
+  flat columns;
 * :mod:`repro.core.algorithm` — Algorithm 1 (forward + backward phases);
 * :mod:`repro.core.engine` — its interned states, memoised transition
   rows and numpy sweep kernels;
@@ -26,7 +27,7 @@ from repro.core.constraints import (
     TravelingTime,
     Unreachable,
 )
-from repro.core.ctgraph import CTGraph, CTNode
+from repro.core.flatgraph import CTNode, FlatCTGraph
 from repro.core.lsequence import LSequence, Reading, ReadingSequence
 from repro.core.naive import NaiveConditioner
 from repro.core.sampling import TrajectorySampler
@@ -40,8 +41,8 @@ __all__ = [
     "Reading",
     "ReadingSequence",
     "LSequence",
-    "CTGraph",
     "CTNode",
+    "FlatCTGraph",
     "CleaningOptions",
     "CleaningStats",
     "build_ct_graph",

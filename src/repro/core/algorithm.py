@@ -60,9 +60,9 @@ trajectory without changing a single bit of the output:
 * **Columnar sweep** — the forward phase records each level's edges as
   flat parallel arrays ``(parent index, child index, probability)`` in
   parent-major order; the backward survival sweep runs over arrays, and
-  only the *surviving* nodes and edges are materialised, as ``CTNode``
-  objects or straight into the columnar
-  :class:`~repro.core.flatgraph.FlatCTGraph`.
+  only the *surviving* nodes and edges are materialised, straight into
+  the columnar :class:`~repro.core.flatgraph.FlatCTGraph` (or a ``.ctg``
+  file, with ``output=``).
 
 Float arithmetic follows the direct node-by-node transcription exactly
 (per-parent mass accumulated in edge order, ``weight / mass``
@@ -82,16 +82,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.core import kernels
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.engine import EngineCache, build_flat_numpy
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence, ReadingSequence
 from repro.core.nodes import initial_stay
 from repro.errors import ReadingSequenceError, ZeroMassError
+
+if TYPE_CHECKING:
+    from repro.store.format import MappedCTGraph
 
 __all__ = ["CleaningOptions", "CleaningStats", "build_ct_graph", "clean"]
 
@@ -101,13 +103,9 @@ TRUNCATED_STAY_POLICIES = ("lenient", "strict")
 #: Pre-flight static-analysis modes (see ``repro.analysis``).
 PRECHECK_MODES = ("off", "warn", "error")
 
-#: What :func:`build_ct_graph` materialises: ``CTNode`` objects
-#: (``"nodes"``; ``"auto"`` currently resolves to the same), the
-#: columnar :class:`~repro.core.flatgraph.FlatCTGraph` (``"flat"``), or
-#: a ``.ctg`` file written straight from the flat arrays (``"store"``,
-#: which requires ``output=`` and returns a zero-copy
-#: :class:`~repro.store.format.MappedCTGraph` view of the file).
-MATERIALIZE_MODES = ("auto", "nodes", "flat", "store")
+#: What :func:`build_ct_graph` returns: the columnar graph, or with
+#: ``output=`` the zero-copy view of the ``.ctg`` file it wrote.
+BuiltGraph = Union[FlatCTGraph, "MappedCTGraph"]
 
 #: The sweep backends (see :mod:`repro.core.kernels`): pure-python loops
 #: (default, the parity oracle), optional numpy level kernels, or
@@ -132,30 +130,13 @@ class CleaningOptions:
     :class:`~repro.errors.ZeroMassError` up front — same outcome as
     running Algorithm 1, minus the cost of the doomed run.
 
-    ``materialize`` — the shape of the returned graph: ``"nodes"``
-    builds the :class:`~repro.core.ctgraph.CTGraph` object web (the
-    historical behaviour), ``"flat"`` returns the columnar
-    :class:`~repro.core.flatgraph.FlatCTGraph` instead — the build
-    then never materialises ``CTNode`` objects at all, which is
-    both faster and smaller when the caller only runs queries (through
-    :class:`repro.queries.session.QuerySession`).  ``"store"`` goes one
-    step further: the flat columns are written straight into the
-    ``output=`` path as a ``rfid-ctg/ctg@1`` binary file (on the numpy
-    route the sweep's ndarrays go to disk without ever becoming Python
-    tuples) and the call returns a zero-copy
-    :class:`~repro.store.format.MappedCTGraph` view of that file.
-    ``"auto"`` (default) behaves like ``"nodes"``; it resolves to
-    ``"store"`` when ``output=`` is given, and the batch runtime
-    resolves it to ``"flat"`` when a
-    :class:`~repro.runtime.plan.QueryPlan` discards graphs.  All shapes
-    carry the same information for queries and are bit-identical with
-    each other (``CTGraph.to_flat``, ``MappedCTGraph.materialize``); see
-    ``docs/perf.md`` and ``docs/store.md``.
-
-    ``output`` — the ``.ctg`` path ``materialize="store"`` writes;
-    setting it with ``materialize="auto"`` selects ``"store"``
-    implicitly, and any other explicit materialisation alongside
-    ``output`` is a configuration error.
+    ``output`` — a ``.ctg`` path: the flat columns are written straight
+    into that file as a ``rfid-ctg/ctg@1`` binary (on the numpy route
+    the sweep's ndarrays go to disk without ever becoming Python tuples)
+    and the call returns a zero-copy
+    :class:`~repro.store.format.MappedCTGraph` view of it instead of the
+    in-memory :class:`~repro.core.flatgraph.FlatCTGraph`.  Both carry the
+    same columns (``MappedCTGraph.materialize``); see ``docs/store.md``.
 
     ``backend`` — how the backward survival sweep and flat
     materialisation run: ``"python"`` (default) uses the pure-python
@@ -167,15 +148,12 @@ class CleaningOptions:
     :class:`~repro.queries.session.QuerySession` applies.  Kernel results
     are pinned to the oracle by the tolerance gate documented in
     ``docs/perf.md``: identical graph structure and tie-breaks, floats
-    equal to 1e-12 relative.  The backend only affects flat-materialised
-    builds (and :class:`~repro.queries.session.QuerySession` sweeps,
-    which take their own ``backend`` argument); node-materialised builds
-    always run in python.
+    equal to 1e-12 relative.  (:class:`~repro.queries.session.QuerySession`
+    sweeps take their own ``backend`` argument.)
     """
 
     truncated_stay_policy: str = "lenient"
     precheck: str = "off"
-    materialize: str = "auto"
     backend: str = "python"
     output: Optional[str] = None
 
@@ -189,44 +167,14 @@ class CleaningOptions:
             raise ReadingSequenceError(
                 f"unknown precheck mode {self.precheck!r}; "
                 f"expected one of {PRECHECK_MODES}")
-        if self.materialize not in MATERIALIZE_MODES:
-            raise ReadingSequenceError(
-                f"unknown materialize mode {self.materialize!r}; "
-                f"expected one of {MATERIALIZE_MODES}")
         if self.backend not in BACKENDS:
             raise ReadingSequenceError(
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {BACKENDS}")
-        if self.output is not None and self.materialize == "auto":
-            object.__setattr__(self, "materialize", "store")
-        if self.materialize == "store" and self.output is None:
-            raise ReadingSequenceError(
-                "materialize='store' writes a .ctg file and needs "
-                "output=... (the path to write)")
-        if self.output is not None and self.materialize != "store":
-            raise ReadingSequenceError(
-                f"output= writes a .ctg file, which requires "
-                f"materialize='store' (or 'auto'), "
-                f"not {self.materialize!r}")
 
     @property
     def strict_truncation(self) -> bool:
         return self.truncated_stay_policy == "strict"
-
-    @property
-    def flat_materialize(self) -> bool:
-        return self.materialize == "flat"
-
-    @property
-    def columnar_materialize(self) -> bool:
-        """Flat-array materialisation — in memory (``"flat"``) or written
-        straight to a ``.ctg`` file (``"store"``).  Both modes share the
-        columnar build and skip ``CTNode`` construction entirely."""
-        return self.materialize in ("flat", "store")
-
-    @property
-    def store_materialize(self) -> bool:
-        return self.materialize == "store"
 
 
 @dataclass
@@ -240,7 +188,8 @@ class CleaningStats:
     #: Wall-clock seconds of the forward expansion and of the backward
     #: survival sweep (conditioning and materialisation included), so
     #: wins are attributable per phase.  Excluded from equality — two
-    #: identical cleanings never time identically.
+    #: identical cleanings never time identically — and therefore not
+    #: stored in ``.ctg`` files, whose bytes stay deterministic.
     forward_seconds: float = field(default=0.0, compare=False)
     backward_seconds: float = field(default=0.0, compare=False)
     #: Wall-clock seconds of the backward survival sweep *proper* (edge
@@ -262,18 +211,17 @@ class CleaningStats:
 
 def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
                    options: CleaningOptions = CleaningOptions(), *,
-                   plan=None) -> Union[CTGraph, FlatCTGraph]:
+                   plan=None) -> BuiltGraph:
     """Run Algorithm 1: the ct-graph of ``lsequence`` under ``constraints``.
 
     Raises :class:`InconsistentReadingsError` when no trajectory compatible
     with the l-sequence satisfies the constraints (conditioning undefined).
-    The returned graph carries its :class:`CleaningStats` as ``graph.stats``.
-    With ``CleaningOptions(materialize="flat")`` the result is the
-    columnar :class:`~repro.core.flatgraph.FlatCTGraph` instead of the
-    ``CTNode`` web — bit-identical to ``.to_flat()`` of the node graph.
-    With ``materialize="store"`` (or ``output=...``) the columns are
-    written to a ``.ctg`` file instead and the returned graph is a
-    zero-copy :class:`~repro.store.format.MappedCTGraph` view of it.
+    Returns the columnar :class:`~repro.core.flatgraph.FlatCTGraph`, which
+    carries its :class:`CleaningStats` as ``graph.stats``.  With
+    ``CleaningOptions(output=...)`` the columns are written to a ``.ctg``
+    file instead and the returned graph is a zero-copy
+    :class:`~repro.store.format.MappedCTGraph` view of it (holding the
+    same live ``stats``).
 
     ``plan`` is an optional
     :class:`repro.runtime.SharedCleaningPlan` (or any object with the same
@@ -507,9 +455,7 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
     # the backend only affects what follows (the backward sweep and the
     # materialisation) and the actual edge counts are now known — "auto"
     # resolves on the measured mean edges per level, not a prediction.
-    # Only the flat path vectorises: the node path interleaves CTNode
-    # construction with the sweep and always runs in python.
-    route_numpy = options.columnar_materialize and kernels.resolve_backend(
+    route_numpy = kernels.resolve_backend(
         options.backend,
         stats.edges_created / last if last else 0.0) == "numpy"
     if not route_numpy:
@@ -617,165 +563,95 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
     stats.edges_removed = edges_removed
     stats.sweep_seconds = time.perf_counter() - backward_started
 
-    if options.columnar_materialize:
-        # ------------------------------------------------------------------
-        # flat materialisation: the backward sweep's arrays become the
-        # FlatCTGraph directly — no CTNode is ever created.  Interning,
-        # node order, edge order and every conditioned float mirror the
-        # node path + ``to_flat()`` exactly (pinned by the parity suite).
-        # ------------------------------------------------------------------
-        flat_ids: Dict[int, int] = {}
-        flat_names: List[str] = []
-        flat_locations: List[Tuple[int, ...]] = []
-        flat_stays: List[Tuple[Optional[int], ...]] = []
-        index_maps: List[List[int]] = []
-        for tau in range(duration):
-            sids = level_sids[tau]
-            # A node is dead iff its *pre-rescale* mass was <= 0 — the
-            # criterion the node path uses too.
-            mass_row = level_masses[tau] if tau != last else None
-            loc_row: List[int] = []
-            stay_row: List[Optional[int]] = []
-            index_map = [-1] * len(sids)
-            for i, sid in enumerate(sids):
-                if mass_row is not None and mass_row[i] <= 0.0:
-                    continue
-                lid, stay, _rel_deps = states[sid]
-                fid = flat_ids.get(lid)
-                if fid is None:
-                    fid = len(flat_names)
-                    flat_ids[lid] = fid
-                    flat_names.append(names[lid])
-                index_map[i] = len(loc_row)
-                loc_row.append(fid)
-                stay_row.append(stay)
-            flat_locations.append(tuple(loc_row))
-            flat_stays.append(tuple(stay_row))
-            index_maps.append(index_map)
-        flat_offsets: List[Tuple[int, ...]] = []
-        flat_children: List[Tuple[int, ...]] = []
-        flat_probabilities: List[Tuple[float, ...]] = []
-        for tau in range(duration - 1):
-            edge_offsets = level_offsets[tau]
-            mass_row = level_masses[tau]
-            child_map = index_maps[tau + 1]
-            child_survival = survivals[tau + 1]
-            offsets: List[int] = [0]
-            children: List[int] = []
-            probabilities: List[float] = []
-            for i in range(len(level_sids[tau])):
-                mass = mass_row[i]
-                if mass <= 0.0:
-                    continue
-                for e in range(edge_offsets[i], edge_offsets[i + 1]):
-                    child_index = all_children[e]
-                    # An edge survives with its (alive) parent iff the
-                    # child is alive, even when the conditioned weight
-                    # underflows to 0.0.
-                    if child_survival[child_index] > 0.0:
-                        children.append(child_map[child_index])
-                        probabilities.append(weights[e] / mass)
-                offsets.append(len(children))
-            flat_offsets.append(tuple(offsets))
-            flat_children.append(tuple(children))
-            flat_probabilities.append(tuple(probabilities))
-        survival_row = survivals[0]
-        source_row = [prior_probabilities[i] * survival_row[i]
-                      for i in range(len(level_sids[0]))
-                      if index_maps[0][i] >= 0]
-        total = math.fsum(source_row)
-        if total <= 0.0:
-            raise ZeroMassError(
-                "the valid trajectories have zero total prior probability")
-        stats.backward_seconds = time.perf_counter() - backward_started
-        flat = FlatCTGraph(
-            location_names=tuple(flat_names),
-            locations=tuple(flat_locations),
-            stays=tuple(flat_stays),
-            edge_offsets=tuple(flat_offsets),
-            edge_children=tuple(flat_children),
-            edge_probabilities=tuple(flat_probabilities),
-            source_probabilities=tuple(p / total for p in source_row),
-            stats=stats)
-        if options.store_materialize:
-            # The python backend still builds the tuples (they *are* its
-            # sweep output); the store write + reload gives callers the
-            # same mmap-view contract as the numpy direct-write route.
-            from repro.store.format import load_ctg, save_ctg
-
-            save_ctg(flat, options.output)
-            return load_ctg(options.output, mmap=True)
-        return flat
-
     # ------------------------------------------------------------------
-    # materialisation: surviving nodes and edges, reference order
+    # materialisation: the backward sweep's arrays become the
+    # FlatCTGraph directly.  Interning, node order, edge order and every
+    # conditioned float mirror the reference builder exactly (pinned by
+    # the parity suite).
     # ------------------------------------------------------------------
-    node_table: List[List[Optional[CTNode]]] = []
+    flat_ids: Dict[int, int] = {}
+    flat_names: List[str] = []
+    flat_locations: List[Tuple[int, ...]] = []
+    flat_stays: List[Tuple[Optional[int], ...]] = []
+    index_maps: List[List[int]] = []
     for tau in range(duration):
         sids = level_sids[tau]
-        row_nodes: List[Optional[CTNode]] = [None] * len(sids)
         # A node is dead iff its *pre-rescale* mass was <= 0 — the exact
         # criterion the reference uses to pop it (the rescaled survival
         # can in principle underflow to 0.0 on an alive node).
-        mass = level_masses[tau] if tau != last else None
+        mass_row = level_masses[tau] if tau != last else None
+        loc_row: List[int] = []
+        stay_row: List[Optional[int]] = []
+        index_map = [-1] * len(sids)
         for i, sid in enumerate(sids):
-            if mass is not None and mass[i] <= 0.0:
+            if mass_row is not None and mass_row[i] <= 0.0:
                 continue
-            lid, stay, rel_deps = states[sid]
-            if not rel_deps:
-                row_nodes[i] = CTNode(tau, names[lid], stay, ())
-            elif len(rel_deps) == 1:
-                age, dlid = rel_deps[0]
-                row_nodes[i] = CTNode(tau, names[lid], stay,
-                                      ((tau - age, names[dlid]),))
-            else:
-                row_nodes[i] = CTNode(
-                    tau, names[lid], stay,
-                    tuple([(tau - age, names[dlid])
-                           for age, dlid in rel_deps]))
-        node_table.append(row_nodes)
+            lid, stay, _rel_deps = states[sid]
+            fid = flat_ids.get(lid)
+            if fid is None:
+                fid = len(flat_names)
+                flat_ids[lid] = fid
+                flat_names.append(names[lid])
+            index_map[i] = len(loc_row)
+            loc_row.append(fid)
+            stay_row.append(stay)
+        flat_locations.append(tuple(loc_row))
+        flat_stays.append(tuple(stay_row))
+        index_maps.append(index_map)
+    flat_offsets: List[Tuple[int, ...]] = []
+    flat_children: List[Tuple[int, ...]] = []
+    flat_probabilities: List[Tuple[float, ...]] = []
     for tau in range(duration - 1):
         edge_offsets = level_offsets[tau]
         mass_row = level_masses[tau]
-        parent_nodes = node_table[tau]
-        child_nodes = node_table[tau + 1]
+        child_map = index_maps[tau + 1]
         child_survival = survivals[tau + 1]
-        for i, parent in enumerate(parent_nodes):
-            if parent is None:
-                continue
+        offsets: List[int] = [0]
+        children: List[int] = []
+        probabilities: List[float] = []
+        for i in range(len(level_sids[tau])):
             mass = mass_row[i]
-            edges = parent.edges
+            if mass <= 0.0:
+                continue
             for e in range(edge_offsets[i], edge_offsets[i + 1]):
                 child_index = all_children[e]
-                # An edge survives with its (alive) parent iff the child
-                # is alive — even when the conditioned weight underflows
-                # to 0.0.
+                # An edge survives with its (alive) parent iff the
+                # child is alive, even when the conditioned weight
+                # underflows to 0.0.
                 if child_survival[child_index] > 0.0:
-                    child = child_nodes[child_index]
-                    edges[child] = weights[e] / mass
-                    child.parents.append(parent)
-
-    # ------------------------------------------------------------------
-    # source conditioning (with the survival damping — DESIGN.md §3)
-    # ------------------------------------------------------------------
-    source_probabilities: Dict[CTNode, float] = {}
+                    children.append(child_map[child_index])
+                    probabilities.append(weights[e] / mass)
+            offsets.append(len(children))
+        flat_offsets.append(tuple(offsets))
+        flat_children.append(tuple(children))
+        flat_probabilities.append(tuple(probabilities))
+    # Source conditioning, with the survival damping (DESIGN.md §3).
     survival_row = survivals[0]
-    for i, node in enumerate(node_table[0]):
-        if node is None:
-            continue
-        source_probabilities[node] = prior_probabilities[i] * survival_row[i]
-    total = math.fsum(source_probabilities.values())
+    source_row = [prior_probabilities[i] * survival_row[i]
+                  for i in range(len(level_sids[0]))
+                  if index_maps[0][i] >= 0]
+    total = math.fsum(source_row)
     if total <= 0.0:
         raise ZeroMassError(
             "the valid trajectories have zero total prior probability")
-    for node in source_probabilities:
-        source_probabilities[node] /= total
-
     stats.backward_seconds = time.perf_counter() - backward_started
-    return CTGraph([tuple([node for node in row if node is not None])
-                    for row in node_table],
-                   source_probabilities, stats=stats)
+    flat = FlatCTGraph(
+        location_names=tuple(flat_names),
+        locations=tuple(flat_locations),
+        stays=tuple(flat_stays),
+        edge_offsets=tuple(flat_offsets),
+        edge_children=tuple(flat_children),
+        edge_probabilities=tuple(flat_probabilities),
+        source_probabilities=tuple(p / total for p in source_row),
+        stats=stats)
+    if options.output is not None:
+        # The python backend still builds the tuples (they *are* its
+        # sweep output); the store write + reload gives callers the
+        # same mmap-view contract as the numpy direct-write route.
+        from repro.store.format import save_mapped
 
+        return save_mapped(flat, options.output)
+    return flat
 
 
 def _run_precheck(lsequence: LSequence, constraints: ConstraintSet,
@@ -806,8 +682,7 @@ def _run_precheck(lsequence: LSequence, constraints: ConstraintSet,
 
 
 def clean(readings: ReadingSequence, prior, constraints: ConstraintSet,
-          options: CleaningOptions = CleaningOptions()
-          ) -> Union[CTGraph, FlatCTGraph]:
+          options: CleaningOptions = CleaningOptions()) -> BuiltGraph:
     """End-to-end cleaning: readings -> l-sequence -> conditioned ct-graph.
 
     ``prior`` is anything with a ``distribution(readers)`` method, normally

@@ -1,7 +1,7 @@
 """The interned state behind Algorithm 1 and its numpy sweep.
 
 :func:`~repro.core.algorithm.build_ct_graph` runs over small ints rather
-than ``CTNode`` objects (see that module's docstring for the argument):
+than node objects (see that module's docstring for the argument):
 
 * :class:`EngineCache` interns locations, relative node states and
   ordered candidate supports, and memoises the successor row of every
@@ -218,7 +218,7 @@ def build_flat_numpy(duration: int, level_sids, states, names,
                      output: Optional[str] = None):
     """The backward sweep + flat materialisation as whole-level kernels.
 
-    With ``output`` set (``materialize="store"``), the kept edge columns
+    With ``output`` set (``CleaningOptions.output``), the kept edge columns
     are written to that ``.ctg`` path as ndarrays — no ``tolist()``, no
     tuples — and the return value is the
     :class:`~repro.store.format.MappedCTGraph` view of the file instead
@@ -384,9 +384,10 @@ def build_flat_numpy(duration: int, level_sids, states, names,
         # the .ctg section layout (the writer narrows them to the
         # little-endian int32/float64 on-disk dtypes) — no edge column is
         # ever boxed into Python tuples, which is the whole build-side
-        # win of ``materialize="store"``.  The returned view mmaps the
-        # freshly written file, so downstream QuerySessions read the
-        # same bytes a later cold load would.
+        # win of ``output=``.  The returned view mmaps the freshly
+        # written file, so downstream QuerySessions read the same bytes
+        # a later cold load would; it keeps the live stats (the file
+        # stores the counters only).
         from repro.store.format import load_ctg, write_ctg
 
         write_ctg(output,
@@ -398,7 +399,9 @@ def build_flat_numpy(duration: int, level_sids, states, names,
                   edge_probabilities=kept_probability_arrays,
                   source_probabilities=[p / total for p in source_row],
                   stats=stats)
-        return load_ctg(output, mmap=True)
+        view = load_ctg(output, mmap=True)
+        view.stats = stats
+        return view
     return FlatCTGraph(
         location_names=tuple(flat_names),
         locations=tuple(flat_locations),

@@ -1,39 +1,37 @@
 """The flat (columnar) form of a conditioned-trajectory graph.
 
-A :class:`FlatCTGraph` stores exactly the information queries consume —
-interned location ids, per-level ``location``/``stay`` arrays, per-level
-CSR edge arrays and the conditioned source distribution — without one
-Python object per node.  It is the only query substrate:
+The ct-graph (Section 4, Definition 4) is a levelled DAG: level ``tau``
+holds the location nodes of timestep ``tau``; edges only connect
+consecutive levels.  After Algorithm 1 finishes, source->target paths
+correspond one-to-one to the valid trajectories, every non-target node's
+outgoing probabilities form a distribution, and the probability of a path
+— source probability times its edge probabilities — equals the
+conditioned probability ``p*(t | Theta ∧ IC)`` of its trajectory.
+
+A :class:`FlatCTGraph` is the one built representation of that DAG.  It
+stores exactly what queries consume — interned location ids, per-level
+``location``/``stay`` arrays, per-level CSR edge arrays and the
+conditioned source distribution — without one Python object per node.
 :class:`repro.queries.session.QuerySession`, which answers every query,
 runs its DPs as index arithmetic over these tuples.
 
-Two producers, one representation:
+Every producer emits it: :func:`~repro.core.algorithm.build_ct_graph`
+writes the columns straight from its backward sweep, and the builders
+that still expand node by node (the streaming window, the beam baseline,
+group conditioning) file plain :class:`CTNode` records level by level
+and convert them once through :func:`flat_from_levels`.
 
-* :func:`flat_from_levels` converts a levelled node graph — both
-  :meth:`repro.core.ctgraph.CTGraph.to_flat` and
-  :meth:`repro.core.groups.JointGraph.to_flat` call it;
-* ``CleaningOptions(materialize="flat")`` makes
-  :func:`~repro.core.algorithm.build_ct_graph` emit the flat form
-  directly, skipping ``CTNode`` materialisation entirely (its backward
-  sweep already lives on flat arrays).
-
-A third form shares the representation without owning it: the binary
-``.ctg`` store (:mod:`repro.store`) serialises exactly these columns, and
-:class:`repro.store.format.MappedCTGraph` serves them back as zero-copy
-slices over one mmap behind the same duck surface — consumers written
-against ``FlatCTGraph`` (``QuerySession``, the kernels' ``GraphViews``,
-the exporters) accept either interchangeably.
-
-The two routes are **bit-identical**: same interning order (first
-appearance, level-major), same per-level node order (the order the
-node build files surviving nodes), same CSR edge order (edge
-insertion order) and the same conditioned floats.  The hypothesis suite
-in ``tests/test_queries_flat.py`` pins this.
+The binary ``.ctg`` store (:mod:`repro.store`) serialises exactly these
+columns, and :class:`repro.store.format.MappedCTGraph` serves them back
+as zero-copy slices over one mmap behind the same duck surface —
+consumers written against ``FlatCTGraph`` (``QuerySession``, the
+kernels' ``GraphViews``, the exporters, the sampler) accept either
+interchangeably.  The trajectory walks (:func:`trajectory_probability`,
+:func:`paths`, :func:`num_valid_trajectories`) are module functions so
+both forms share one implementation.
 
 What the flat form deliberately drops: the ``departures`` (``TL``)
 tuples and the parent lists — construction bookkeeping no query reads.
-That, plus replacing per-node dicts with shared tuples, is where the
-memory win of ``estimate_size_bytes`` comes from (``docs/perf.md``).
 
 CSR layout, per edge level ``tau`` (levels ``0 .. duration - 2``)::
 
@@ -43,7 +41,7 @@ CSR layout, per edge level ``tau`` (levels ``0 .. duration - 2``)::
 
 The edges of node ``i`` of level ``tau`` are the slice
 ``edge_offsets[tau][i] : edge_offsets[tau][i + 1]`` of the two parallel
-arrays, in the same order the node-graph ``edges`` dict iterates.
+arrays (:func:`out_edges`), in edge insertion order.
 """
 
 from __future__ import annotations
@@ -51,14 +49,46 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
+from repro.core.lsequence import Trajectory
+from repro.core.nodes import Departures
 from repro.errors import GraphInvariantError, QueryError
 
 if TYPE_CHECKING:
     from repro.core.algorithm import CleaningStats
 
-__all__ = ["FlatCTGraph", "flat_from_levels"]
+__all__ = ["CTNode", "FlatCTGraph", "flat_from_levels", "out_edges",
+           "paths", "trajectory_probability", "num_valid_trajectories"]
+
+
+class CTNode:
+    """One location node ``(tau, location, stay, departures)`` filed by a
+    node-by-node builder before :func:`flat_from_levels` converts its
+    level.
+
+    ``edges`` maps each successor node to its probability (insertion
+    order is the CSR edge order); ``parents`` lists the predecessors.
+    A plain mutable record — builders rewrite ``edges`` in their
+    backward sweep.
+    """
+
+    __slots__ = ("tau", "location", "stay", "departures", "edges", "parents")
+
+    def __init__(self, tau: int, location: str, stay: Optional[int],
+                 departures: Departures) -> None:
+        self.tau = tau
+        self.location = location
+        self.stay = stay
+        self.departures = departures
+        self.edges: Dict["CTNode", float] = {}
+        self.parents: List["CTNode"] = []
+
+    def __repr__(self) -> str:
+        stay = "⊥" if self.stay is None else str(self.stay)
+        return (f"CTNode(tau={self.tau}, loc={self.location!r}, stay={stay}, "
+                f"tl={list(self.departures)}, out={len(self.edges)})")
 
 
 @dataclass(frozen=True)
@@ -129,14 +159,15 @@ class FlatCTGraph:
     # ------------------------------------------------------------------
     def num_valid_trajectories(self) -> int:
         """How many source->target paths (= valid trajectories) exist."""
-        counts = [1] * len(self.locations[-1])
-        for tau in range(self.duration - 2, -1, -1):
-            offsets = self.edge_offsets[tau]
-            children = self.edge_children[tau]
-            counts = [sum(counts[children[e]]
-                          for e in range(offsets[i], offsets[i + 1]))
-                      for i in range(len(self.locations[tau]))]
-        return sum(counts)
+        return num_valid_trajectories(self)
+
+    def paths(self) -> Iterator[Tuple[Trajectory, float]]:
+        """Every valid trajectory with its conditioned probability."""
+        return paths(self)
+
+    def trajectory_probability(self, trajectory: Sequence[str]) -> float:
+        """The conditioned probability of one trajectory (0 if invalid)."""
+        return trajectory_probability(self, trajectory)
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -144,9 +175,12 @@ class FlatCTGraph:
     def validate(self, tolerance: float = 1e-6) -> None:
         """Check the Definition 4 invariants on the flat arrays.
 
-        The columnar counterpart of :meth:`CTGraph.validate`: consistent array
-        lengths, a normalised source distribution, normalised outgoing
-        rows for every non-target node, in-range child indices.
+        Consistent array lengths, a normalised source distribution,
+        normalised outgoing rows for every non-target node, in-range
+        child indices.  Raises :class:`~repro.errors.GraphInvariantError`
+        on the first violation; the checks are explicit ``raise``
+        statements — not ``assert`` — so they still run under
+        ``python -O``.
         """
         duration = self.duration
         if duration == 0:
@@ -200,13 +234,13 @@ class FlatCTGraph:
                         f"{tau} sum to {row_total}")
 
     def estimate_size_bytes(self) -> int:
-        """A size estimate of the flat graph (compare with the node form).
+        """A size estimate of the materialised graph (Section 6.7).
 
         Counts the tuples actually held (8 bytes per slot included in
         ``sys.getsizeof``) plus 24 bytes per boxed edge/source float.
         Small ints (location ids, most offsets) are interpreter-cached,
-        so slots dominate their cost.  Like
-        :meth:`CTGraph.estimate_size_bytes`, only ratios are meaningful.
+        so slots dominate their cost.  The absolute number is
+        interpreter-specific; benchmarks only compare ratios.
         """
         total = sys.getsizeof(self.location_names)
         total += sum(sys.getsizeof(name) for name in self.location_names)
@@ -232,12 +266,12 @@ def flat_from_levels(levels: Sequence[Sequence[Any]],
 
     ``levels`` holds each level's nodes — objects with ``location``,
     ``stay`` and an ``edges`` dict mapping next-level nodes to their
-    probabilities (``CTNode``, ``JointNode``) — and
-    ``source_probabilities`` the level-0 distribution in node order.
-    Location ids are interned in first-appearance order (level-major,
-    node order) and every per-level array follows the node order and the
-    edge insertion order, so converting a node graph is bit-identical to
-    the flat form ``CleaningOptions(materialize="flat")`` emits directly.
+    probabilities (:class:`CTNode`) — and ``source_probabilities`` the
+    level-0 distribution in node order.  Location ids are interned in
+    first-appearance order (level-major, node order) and every per-level
+    array follows the node order and the edge insertion order — the
+    same canonical order :func:`~repro.core.algorithm.build_ct_graph`
+    emits.
     """
     location_ids: Dict[str, int] = {}
     names: List[str] = []
@@ -278,3 +312,88 @@ def flat_from_levels(levels: Sequence[Sequence[Any]],
         edge_probabilities=tuple(edge_probabilities),
         source_probabilities=tuple(source_probabilities),
         stats=stats)
+
+
+# ----------------------------------------------------------------------
+# walks shared by every flat-shaped graph (FlatCTGraph, MappedCTGraph)
+# ----------------------------------------------------------------------
+def out_edges(graph, tau: int, i: int) -> Tuple[Sequence[int],
+                                                 Sequence[float]]:
+    """The out-edges of node ``i`` of level ``tau``: its child indices
+    (local to level ``tau + 1``) and conditioned probabilities, as two
+    parallel slices in CSR order."""
+    offsets = graph.edge_offsets[tau]
+    start, end = offsets[i], offsets[i + 1]
+    return (graph.edge_children[tau][start:end],
+            graph.edge_probabilities[tau][start:end])
+
+
+def num_valid_trajectories(graph) -> int:
+    """How many source->target paths (= valid trajectories) exist."""
+    counts = [1] * len(graph.locations[-1])
+    for tau in range(graph.duration - 2, -1, -1):
+        offsets = graph.edge_offsets[tau]
+        children = graph.edge_children[tau]
+        counts = [sum(counts[children[e]]
+                      for e in range(offsets[i], offsets[i + 1]))
+                  for i in range(len(graph.locations[tau]))]
+    return sum(counts)
+
+
+def paths(graph) -> Iterator[Tuple[Trajectory, float]]:
+    """Every valid trajectory with its conditioned probability.
+
+    Depth first — sources in level order, edges in CSR order — with the
+    probability multiplied left to right from the source.  Exponential
+    in general: meant for tests and small graphs.  The walk keeps an
+    explicit stack, so long durations never hit the recursion limit.
+    """
+    names = graph.location_names
+    last = graph.duration - 1
+    lids = graph.locations[0]
+    stack = [(0, i, (names[lids[i]],), float(graph.source_probabilities[i]))
+             for i in reversed(range(len(lids)))]
+    while stack:
+        tau, node, prefix, probability = stack.pop()
+        if tau == last:
+            yield prefix, probability
+            continue
+        children, probabilities = out_edges(graph, tau, node)
+        next_lids = graph.locations[tau + 1]
+        for child, p in reversed(list(zip(children, probabilities))):
+            stack.append((tau + 1, int(child),
+                          prefix + (names[next_lids[child]],),
+                          probability * float(p)))
+
+
+def trajectory_probability(graph, trajectory: Sequence[str]) -> float:
+    """The conditioned probability of one concrete location sequence.
+
+    A forward pass that keeps only the nodes whose location matches the
+    next element.  Several nodes of a level may match — they differ in
+    stay state, or pair different states of a group's members — so the
+    pass carries a weighted frontier rather than a single node.
+    """
+    if len(trajectory) != graph.duration:
+        raise QueryError(
+            f"trajectory has {len(trajectory)} steps, expected "
+            f"{graph.duration}")
+    ids = {name: lid for lid, name in enumerate(graph.location_names)}
+    first = ids.get(trajectory[0])
+    lids = graph.locations[0]
+    mass = {i: float(graph.source_probabilities[i])
+            for i in range(len(lids)) if lids[i] == first}
+    for tau in range(graph.duration - 1):
+        target = ids.get(trajectory[tau + 1])
+        next_lids = graph.locations[tau + 1]
+        step: Dict[int, float] = {}
+        for i, amount in mass.items():
+            children, probabilities = out_edges(graph, tau, i)
+            for child, probability in zip(children, probabilities):
+                if next_lids[child] == target:
+                    step[child] = (step.get(child, 0.0)
+                                   + amount * float(probability))
+        mass = step
+        if not mass:
+            return 0.0
+    return sum(mass.values(), 0.0)

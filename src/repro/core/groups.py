@@ -11,177 +11,61 @@ the product graph restricted to equal-location pairs and renormalises —
 i.e. it conditions the independent product distribution on the "moving
 together" event.  The result supports the same marginal / path /
 probability queries as a ct-graph.  Larger groups fold pairwise:
-``condition_on_meeting(a, b)`` produces a :class:`JointGraph` whose
-``location_marginal`` already reflects both objects' evidence.
+``condition_on_meeting(a, b)`` produces a flat graph whose location
+marginals already reflect both objects' evidence.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.ctgraph import CTGraph, CTNode
-from repro.core.flatgraph import FlatCTGraph, flat_from_levels
-from repro.core.lsequence import Trajectory
+from repro.core.flatgraph import CTNode, FlatCTGraph, flat_from_levels, out_edges
 from repro.errors import InconsistentReadingsError, QueryError
 
-__all__ = ["JointNode", "JointGraph", "condition_on_meeting",
-           "condition_group"]
+__all__ = ["condition_on_meeting", "condition_group"]
 
 
-class JointNode:
-    """A pair of same-location node states at one timestep."""
-
-    __slots__ = ("tau", "location", "node_a", "node_b", "edges", "parents")
-
-    #: Joint nodes carry no latency counter (the flat form's stay column).
-    stay = None
-
-    def __init__(self, tau: int, location: str,
-                 node_a, node_b) -> None:
-        self.tau = tau
-        self.location = location
-        self.node_a = node_a
-        self.node_b = node_b
-        self.edges: Dict["JointNode", float] = {}
-        self.parents: List["JointNode"] = []
-
-    def __repr__(self) -> str:
-        return (f"JointNode(tau={self.tau}, loc={self.location!r}, "
-                f"out={len(self.edges)})")
-
-
-class JointGraph:
-    """The conditioned joint distribution of two objects moving together."""
-
-    def __init__(self, levels: Sequence[Sequence[JointNode]],
-                 source_probabilities: Dict[JointNode, float]) -> None:
-        self._levels: Tuple[Tuple[JointNode, ...], ...] = tuple(
-            tuple(level) for level in levels)
-        self._source_probabilities = dict(source_probabilities)
-
-    @property
-    def duration(self) -> int:
-        return len(self._levels)
-
-    @property
-    def num_nodes(self) -> int:
-        return sum(len(level) for level in self._levels)
-
-    def level(self, tau: int) -> Tuple[JointNode, ...]:
-        if not 0 <= tau < self.duration:
-            raise QueryError(f"timestep {tau} outside [0, {self.duration})")
-        return self._levels[tau]
-
-    @property
-    def sources(self) -> Tuple[JointNode, ...]:
-        return self._levels[0]
-
-    def source_probability(self, node: JointNode) -> float:
-        return self._source_probabilities.get(node, 0.0)
-
-    def paths(self) -> Iterator[Tuple[Trajectory, float]]:
-        """Every joint trajectory with its conditioned probability."""
-        def walk(node: JointNode, prefix: List[str], probability: float):
-            prefix.append(node.location)
-            if node.tau == self.duration - 1:
-                yield tuple(prefix), probability
-            else:
-                for child, p in node.edges.items():
-                    yield from walk(child, prefix, probability * p)
-            prefix.pop()
-
-        for source in self.sources:
-            yield from walk(source, [], self.source_probability(source))
-
-    def location_marginal(self, tau: int) -> Dict[str, float]:
-        """Where the group is at ``tau`` (both objects, by construction)."""
-        alphas: Dict[JointNode, float] = {
-            node: self.source_probability(node) for node in self.sources}
-        for level in self._levels[:tau]:
-            for node in level:
-                mass = alphas.get(node, 0.0)
-                if mass <= 0.0:
-                    continue
-                for child, probability in node.edges.items():
-                    alphas[child] = alphas.get(child, 0.0) + mass * probability
-        marginal: Dict[str, float] = {}
-        for node in self.level(tau):
-            mass = alphas.get(node, 0.0)
-            if mass > 0.0:
-                marginal[node.location] = (marginal.get(node.location, 0.0)
-                                           + mass)
-        return marginal
-
-    def trajectory_probability(self, trajectory: Sequence[str]) -> float:
-        """The conditioned probability that *both* objects follow
-        ``trajectory``.
-
-        Unlike a plain ct-graph, several joint nodes can share a location
-        at a timestep (different pairings of the two objects' states), so
-        this walks a weighted frontier instead of a single node chain.
-        """
-        if len(trajectory) != self.duration:
-            raise QueryError(
-                f"trajectory has {len(trajectory)} steps, expected "
-                f"{self.duration}")
-        frontier: Dict[JointNode, float] = {
-            node: self.source_probability(node)
-            for node in self.sources if node.location == trajectory[0]}
-        for location in trajectory[1:]:
-            step: Dict[JointNode, float] = {}
-            for node, mass in frontier.items():
-                for child, probability in node.edges.items():
-                    if child.location == location:
-                        step[child] = step.get(child, 0.0) + mass * probability
-            frontier = step
-            if not frontier:
-                return 0.0
-        return sum(frontier.values())
-
-    def to_flat(self) -> FlatCTGraph:
-        """The joint graph as a :class:`~repro.core.flatgraph.FlatCTGraph`,
-        so every :class:`~repro.queries.session.QuerySession` query runs
-        on it (location ids name the group's shared location)."""
-        return flat_from_levels(
-            self._levels,
-            [self.source_probability(node) for node in self._levels[0]])
-
-    def __repr__(self) -> str:
-        return f"JointGraph(duration={self.duration}, nodes={self.num_nodes})"
-
-
-def condition_on_meeting(graph_a, graph_b) -> JointGraph:
+def condition_on_meeting(graph_a, graph_b) -> FlatCTGraph:
     """Condition two cleaned trajectories on "same location at every step".
 
-    Both graphs must cover the same monitoring interval; each may be a
-    :class:`~repro.core.ctgraph.CTGraph` or a :class:`JointGraph` (which
-    is how :func:`condition_group` folds larger groups).  Raises
-    :class:`InconsistentReadingsError` when the objects cannot have been
-    together (no common valid trajectory).
+    Both graphs must cover the same monitoring interval; each may be any
+    flat-shaped graph — a :class:`~repro.core.flatgraph.FlatCTGraph`, a
+    mapped ``.ctg`` view, or an earlier result of this function (which
+    is how :func:`condition_group` folds larger groups).  The result is
+    a :class:`FlatCTGraph` whose nodes pair one node of each input at a
+    shared location (stay ``None``: pairs carry no latency counter), so
+    every :class:`~repro.queries.session.QuerySession` query runs on it.
+    Raises :class:`InconsistentReadingsError` when the objects cannot
+    have been together (no common valid trajectory).
     """
     if graph_a.duration != graph_b.duration:
         raise QueryError(
             f"graphs cover different intervals: {graph_a.duration} vs "
             f"{graph_b.duration} steps")
     duration = graph_a.duration
+    names_a = graph_a.location_names
+    names_b = graph_b.location_names
 
-    # Forward product construction over same-location pairs.
-    levels: List[Dict[Tuple[CTNode, CTNode], JointNode]] = [
+    # Forward product construction over same-location node-index pairs.
+    levels: List[Dict[Tuple[int, int], CTNode]] = [
         {} for _ in range(duration)]
-    prior: Dict[JointNode, float] = {}
-    for source_a in graph_a.sources:
-        pa = graph_a.source_probability(source_a)
+    prior: Dict[CTNode, float] = {}
+    lids_a = graph_a.locations[0]
+    lids_b = graph_b.locations[0]
+    for i in range(len(lids_a)):
+        pa = float(graph_a.source_probabilities[i])
         if pa <= 0.0:
             continue
-        for source_b in graph_b.sources:
-            if source_b.location != source_a.location:
+        location = names_a[lids_a[i]]
+        for j in range(len(lids_b)):
+            if names_b[lids_b[j]] != location:
                 continue
-            pb = graph_b.source_probability(source_b)
+            pb = float(graph_b.source_probabilities[j])
             if pb <= 0.0:
                 continue
-            node = JointNode(0, source_a.location, source_a, source_b)
-            levels[0][(source_a, source_b)] = node
+            node = CTNode(0, location, None, ())
+            levels[0][(i, j)] = node
             prior[node] = pa * pb
     if not levels[0]:
         raise InconsistentReadingsError(
@@ -189,36 +73,39 @@ def condition_on_meeting(graph_a, graph_b) -> JointGraph:
 
     for tau in range(duration - 1):
         next_level = levels[tau + 1]
-        for node in levels[tau].values():
-            # All equal-location pairs of successors.  A CTGraph node has
-            # at most one successor per location, but JointGraph inputs
-            # (group folding) can have several — hence the generic loop.
-            for child_a, pa in node.node_a.edges.items():
-                for child_b, pb in node.node_b.edges.items():
-                    if child_b.location != child_a.location:
+        next_a = graph_a.locations[tau + 1]
+        next_b = graph_b.locations[tau + 1]
+        for (i, j), node in levels[tau].items():
+            # All equal-location pairs of successors.  A cleaned graph
+            # has at most one successor per location and node, but a
+            # folded group can have several — hence the generic loop.
+            children_b, probabilities_b = out_edges(graph_b, tau, j)
+            children_a, probabilities_a = out_edges(graph_a, tau, i)
+            for child_a, pa in zip(children_a, probabilities_a):
+                location = names_a[next_a[child_a]]
+                for child_b, pb in zip(children_b, probabilities_b):
+                    if names_b[next_b[child_b]] != location:
                         continue
-                    key = (child_a, child_b)
+                    key = (int(child_a), int(child_b))
                     child = next_level.get(key)
                     if child is None:
-                        child = JointNode(tau + 1, child_a.location,
-                                          child_a, child_b)
+                        child = CTNode(tau + 1, location, None, ())
                         next_level[key] = child
-                    node.edges[child] = pa * pb
-                    child.parents.append(node)
+                    node.edges[child] = float(pa) * float(pb)
         if not next_level:
             raise InconsistentReadingsError(
                 f"the objects cannot stay together past timestep {tau}")
 
     # Backward survival sweep (same scheme as Algorithm 1's backward phase).
-    survival: Dict[JointNode, float] = {
+    survival: Dict[CTNode, float] = {
         node: 1.0 for node in levels[duration - 1].values()}
     for tau in range(duration - 2, -1, -1):
         level = levels[tau]
-        dead: List[Tuple[CTNode, CTNode]] = []
+        dead: List[Tuple[int, int]] = []
         level_max = 0.0
         for key, node in level.items():
             mass = 0.0
-            surviving: Dict[JointNode, float] = {}
+            surviving: Dict[CTNode, float] = {}
             for child, weight in node.edges.items():
                 s = survival.get(child, 0.0)
                 if s > 0.0:
@@ -241,21 +128,18 @@ def condition_on_meeting(graph_a, graph_b) -> JointGraph:
             for node in level.values():
                 survival[node] /= level_max
 
-    source_probabilities: Dict[JointNode, float] = {}
-    for node in levels[0].values():
-        source_probabilities[node] = prior[node] * survival.get(node, 1.0)
-    total = math.fsum(source_probabilities.values())
+    sources = list(levels[0].values())
+    source_probabilities = [prior[node] * survival.get(node, 1.0)
+                            for node in sources]
+    total = math.fsum(source_probabilities)
     if total <= 0.0:
         raise InconsistentReadingsError(
             "the joint trajectories have zero total prior probability")
-    for node in source_probabilities:
-        source_probabilities[node] /= total
-
-    return JointGraph([tuple(level.values()) for level in levels],
-                      source_probabilities)
+    return flat_from_levels([tuple(level.values()) for level in levels],
+                            [p / total for p in source_probabilities])
 
 
-def condition_group(graphs: Sequence) -> JointGraph:
+def condition_group(graphs: Sequence) -> FlatCTGraph:
     """Condition *k* cleaned trajectories on all moving together.
 
     Folds :func:`condition_on_meeting` left to right; the fold is exact

@@ -33,10 +33,8 @@ import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.algorithm import CleaningOptions, build_ct_graph
+from repro.core.algorithm import BuiltGraph, CleaningOptions, build_ct_graph
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph
-from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence
 from repro.core.nodes import (
     NodeState,
@@ -46,12 +44,8 @@ from repro.core.nodes import (
 )
 from repro.errors import InconsistentReadingsError, ReadingSequenceError
 
-if TYPE_CHECKING:
-    from repro.store.format import MappedCTGraph
-
 __all__ = [
     "IncrementalCleaner",
-    "FinalizedGraph",
     "Frontier",
     "advance_frontier",
     "advance_frontier_routed",
@@ -61,13 +55,6 @@ __all__ = [
 ]
 
 _PROBABILITY_FLOOR = 1e-15
-
-#: What :meth:`IncrementalCleaner.finalize` actually returns — the shape
-#: follows ``options.materialize`` exactly as in :func:`build_ct_graph`:
-#: ``"nodes"``/``"auto"`` yield a :class:`CTGraph`, ``"flat"`` a
-#: :class:`FlatCTGraph`, ``"store"`` an mmap-backed
-#: :class:`~repro.store.format.MappedCTGraph` view of the written file.
-FinalizedGraph = Union[CTGraph, FlatCTGraph, "MappedCTGraph"]
 
 
 def coerce_candidate_row(candidates: Mapping[str, float],
@@ -226,22 +213,15 @@ def resolve_finalize_options(options: CleaningOptions,
     """The effective options of one ``finalize()`` call.
 
     Returns ``(effective_options, consumed_configured_output)``.  An
-    explicit ``output=`` always wins (and forces ``materialize="store"``,
-    which must not contradict an explicit non-store materialisation).
-    The *configured* ``options.output`` may be written exactly once per
-    cleaner — a repeat ``finalize()`` without a fresh explicit path
-    raises :class:`ReadingSequenceError` instead of silently overwriting
-    the previous result.
+    explicit ``output=`` always wins.  The *configured*
+    ``options.output`` may be written exactly once per cleaner — a
+    repeat ``finalize()`` without a fresh explicit path raises
+    :class:`ReadingSequenceError` instead of silently overwriting the
+    previous result.
     """
     if output is not None:
-        if options.materialize not in ("auto", "store"):
-            raise ReadingSequenceError(
-                f"finalize(output=...) writes a .ctg file, which requires "
-                f"materialize='store' (or 'auto'), "
-                f"not {options.materialize!r}")
-        return (replace(options, materialize="store", output=str(output)),
-                False)
-    if not options.store_materialize:
+        return replace(options, output=str(output)), False
+    if options.output is None:
         return options, False
     if output_consumed:
         raise ReadingSequenceError(
@@ -336,24 +316,22 @@ class IncrementalCleaner:
             raise ReadingSequenceError("no readings ingested yet")
         return LSequence([dict(row) for row in self._rows], _validate=False)
 
-    def finalize(self, *, output: Optional[str] = None) -> FinalizedGraph:
+    def finalize(self, *, output: Optional[str] = None) -> BuiltGraph:
         """Close the stream: run the exact conditioning, return the ct-graph.
 
-        Equals the batch algorithm's output on the accumulated sequence,
-        in the shape ``options.materialize`` selects (see
-        :data:`FinalizedGraph`): a :class:`CTGraph` for ``"nodes"`` /
-        ``"auto"``, a :class:`FlatCTGraph` for ``"flat"``, an mmap-backed
-        :class:`~repro.store.format.MappedCTGraph` for ``"store"``.
+        Equals the batch algorithm's output on the accumulated sequence:
+        a :class:`~repro.core.flatgraph.FlatCTGraph`, or with an output
+        path the mmap-backed :class:`~repro.store.format.MappedCTGraph`
+        view of the written file.
 
         The cleaner keeps its state — more readings can be appended after
-        this call and :meth:`finalize` called again.  With ``"store"``
-        materialisation each call writes one file: the constructor-
-        configured ``options.output`` is honoured for the *first* call
-        only, and every further call must name a fresh path via
-        ``output=`` (raising :class:`ReadingSequenceError` otherwise)
-        instead of silently overwriting the earlier result.  An explicit
-        ``output=`` also works with ``materialize="auto"`` options — the
-        call then behaves exactly like ``build_ct_graph`` with
+        this call and :meth:`finalize` called again.  With an output path
+        each call writes one file: the constructor-configured
+        ``options.output`` is honoured for the *first* call only, and
+        every further call must name a fresh path via ``output=``
+        (raising :class:`ReadingSequenceError` otherwise) instead of
+        silently overwriting the earlier result.  An explicit ``output=``
+        makes the call behave exactly like ``build_ct_graph`` with
         ``output=`` set, returning the mapped view.
         """
         lsequence = self.lsequence()

@@ -9,7 +9,7 @@ against rejection sampling from the a-priori distribution.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 try:
     import numpy as np
@@ -19,7 +19,7 @@ except ImportError:  # pragma: no cover - no-numpy environments
     np = missing_dependency("numpy", "repro[numpy]")  # type: ignore[assignment]
 
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph, CTNode
+from repro.core.flatgraph import out_edges
 from repro.core.lsequence import LSequence, Trajectory
 from repro.core.validity import is_valid_trajectory
 
@@ -31,31 +31,33 @@ class TrajectorySampler:
 
     Every draw is i.i.d. from the conditioned distribution
     ``p*(t | Theta ∧ IC)`` — by construction of the graph, the walk picks a
-    source by ``p_N`` and then follows outgoing-edge distributions.
+    source by ``p_N`` and then follows outgoing-edge distributions, one
+    CSR slice per level.  ``graph`` is any flat-shaped graph
+    (:class:`~repro.core.flatgraph.FlatCTGraph` or a mapped view).
     """
 
-    def __init__(self, graph: CTGraph,
+    def __init__(self, graph,
                  rng: Optional[np.random.Generator] = None) -> None:
         self.graph = graph
         self.rng = rng if rng is not None else np.random.default_rng()
-        sources = graph.sources
-        self._sources: Tuple[CTNode, ...] = sources
         self._source_probs = np.array(
-            [graph.source_probability(node) for node in sources])
+            [float(p) for p in graph.source_probabilities])
 
     def sample(self) -> Trajectory:
         """One trajectory drawn from the conditioned distribution."""
-        index = int(self.rng.choice(len(self._sources), p=self._source_probs))
-        node = self._sources[index]
-        steps: List[str] = [node.location]
-        while node.edges:
-            children = list(node.edges.items())
-            probabilities = np.array([p for _, p in children])
+        graph = self.graph
+        names = graph.location_names
+        node = int(self.rng.choice(len(self._source_probs),
+                                   p=self._source_probs))
+        steps: List[str] = [names[graph.locations[0][node]]]
+        for tau in range(graph.duration - 1):
+            children, probabilities = out_edges(graph, tau, node)
+            probabilities = np.array([float(p) for p in probabilities])
             # Guard against float drift: renormalise locally.
             probabilities = probabilities / probabilities.sum()
             pick = int(self.rng.choice(len(children), p=probabilities))
-            node = children[pick][0]
-            steps.append(node.location)
+            node = int(children[pick])
+            steps.append(names[graph.locations[tau + 1][node]])
         return tuple(steps)
 
     def sample_many(self, count: int) -> Iterator[Trajectory]:

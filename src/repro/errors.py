@@ -86,9 +86,9 @@ class ZeroMassError(InconsistentReadingsError):
 class GraphInvariantError(ReproError, AssertionError):
     """A finished ct-graph violates a Definition 4 invariant.
 
-    Raised by :meth:`repro.core.ctgraph.CTGraph.validate`.  The class also
-    derives from :class:`AssertionError` so long-standing callers that
-    caught assertion failures keep working — but unlike a bare ``assert``,
+    Raised by :meth:`repro.core.flatgraph.FlatCTGraph.validate`.  The
+    class also derives from :class:`AssertionError` so long-standing
+    callers that caught assertion failures keep working — but unlike a bare ``assert``,
     the checks are real ``raise`` statements and therefore survive
     ``python -O`` / ``PYTHONOPTIMIZE`` (which strips asserts).
     """
@@ -161,9 +161,9 @@ class StoreChecksumError(StoreError):
 class GraphExportError(ReproError, TypeError):
     """An object that is not a ct-graph was handed to a graph exporter.
 
-    The :mod:`repro.io.graphs` functions are typed per graph form
-    (``ctgraph_to_dict`` wants the node form, ``flatgraph_to_dict`` the
-    columnar form); passing the wrong one raises this instead of an
-    incidental ``AttributeError`` deep inside the traversal.  Also derives
+    The :mod:`repro.io.graphs` functions want the columnar graph form
+    (a ``FlatCTGraph`` or a mapped ``.ctg`` view); passing anything else
+    raises this instead of an incidental ``AttributeError`` deep inside
+    the traversal.  Also derives
     from :class:`TypeError` for callers that treat bad inputs generically.
     """

@@ -30,7 +30,7 @@ except ImportError:  # pragma: no cover - no-numpy environments
     np = missing_dependency("numpy", "repro[numpy]")  # type: ignore[assignment]
 
 from repro.core.algorithm import CleaningOptions, build_ct_graph
-from repro.core.ctgraph import CTGraph
+from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence
 from repro.inference import MotilityProfile, infer_constraints
 from repro.queries.session import QuerySession
@@ -69,10 +69,6 @@ CONSTRAINT_CONFIGS: Dict[str, Tuple[str, ...]] = {
 
 #: The no-cleaning baseline label (raw a-priori interpretation).
 RAW_CONFIG = "RAW"
-
-#: The query experiments never read ``CTNode`` objects: they clean
-#: straight to the flat form a ``QuerySession`` answers from.
-_FLAT = CleaningOptions(materialize="flat")
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ def clean_trajectory(dataset: Dataset, trajectory: GeneratedTrajectory,
                      kinds: Sequence[str],
                      profile: MotilityProfile = MotilityProfile(),
                      options: CleaningOptions = CleaningOptions(),
-                     ) -> Tuple[CTGraph, LSequence, float]:
+                     ) -> Tuple[FlatCTGraph, LSequence, float]:
     """Clean one trajectory; returns (graph, l-sequence, build seconds)."""
     constraints = _configured_constraints(dataset, kinds, profile)
     lsequence = LSequence.from_readings(trajectory.readings, dataset.prior)
@@ -261,7 +257,7 @@ def run_query_time_experiment(dataset: Dataset,
             for trajectory in dataset.trajectories[duration]:
                 lsequence = LSequence.from_readings(trajectory.readings,
                                                     dataset.prior)
-                graph = build_ct_graph(lsequence, constraints, _FLAT)
+                graph = build_ct_graph(lsequence, constraints)
                 for tau in random_stay_queries(duration, stay_queries, rng):
                     # A fresh session per query: the forward pass is
                     # cached per session, and every stay query must pay
@@ -314,7 +310,7 @@ def run_stay_accuracy_experiment(dataset: Dataset,
             for config_name, kinds in configs.items():
                 constraints = _configured_constraints(dataset, kinds, profile)
                 session = QuerySession(
-                    build_ct_graph(lsequence, constraints, _FLAT))
+                    build_ct_graph(lsequence, constraints))
                 per_config[config_name].extend(
                     stay_accuracy(session.location_marginal(tau), truth[tau])
                     for tau in taus)
@@ -361,8 +357,7 @@ def run_trajectory_accuracy_experiment(
                                                 dataset.prior)
             graphs = {
                 name: QuerySession(build_ct_graph(
-                    lsequence, _configured_constraints(dataset, kinds, profile),
-                    _FLAT))
+                    lsequence, _configured_constraints(dataset, kinds, profile)))
                 for name, kinds in configs.items()}
             for length in lengths:
                 count = (queries_per_trajectory if length is None

@@ -7,12 +7,7 @@ DOT export for ct-graph visualisation.  Everything round-trips:
 """
 
 from repro.io.archives import load_dataset, save_dataset
-from repro.io.graphs import (
-    ctgraph_to_dict,
-    ctgraph_to_dot,
-    flatgraph_to_dict,
-    save_ctgraph,
-)
+from repro.io.graphs import ctgraph_to_dot, flatgraph_to_dict, save_ctgraph
 from repro.io.jsonio import (
     load_building,
     load_constraints,
@@ -35,5 +30,5 @@ __all__ = [
     "save_trajectory", "load_trajectory",
     "save_matrix", "load_matrix",
     "save_dataset", "load_dataset",
-    "ctgraph_to_dict", "flatgraph_to_dict", "ctgraph_to_dot", "save_ctgraph",
+    "flatgraph_to_dict", "ctgraph_to_dot", "save_ctgraph",
 ]

@@ -30,7 +30,7 @@ except ImportError:  # pragma: no cover - no-numpy environments
 
     np = missing_dependency("numpy", "repro[numpy]")  # type: ignore[assignment]
 
-from repro.core.ctgraph import CTGraph
+from repro.core.flatgraph import out_edges
 from repro.errors import QueryError
 
 __all__ = ["MarkovianStream"]
@@ -51,22 +51,33 @@ class MarkovianStream:
             for step in transitions)
 
     @classmethod
-    def from_ct_graph(cls, graph: CTGraph) -> "MarkovianStream":
-        """Marginalise a ct-graph to location granularity."""
-        alphas = graph.node_marginals()
-        initial = graph.location_marginal(0)
+    def from_ct_graph(cls, graph) -> "MarkovianStream":
+        """Marginalise a ct-graph to location granularity.
+
+        ``graph`` is a flat graph, a mapped view or a
+        :class:`~repro.queries.session.QuerySession`; the node masses
+        are the session's forward (alpha) pass.
+        """
+        from repro.queries.session import QuerySession
+
+        session = QuerySession.ensure(graph)
+        graph = session.graph
+        names = graph.location_names
+        alphas = session.alphas()
+        initial = session.location_marginal(0)
         transitions: List[Dict[str, Dict[str, float]]] = []
         for tau in range(graph.duration - 1):
             # joint[src][dst] = P(X_tau = src, X_tau+1 = dst)
             joint: Dict[str, Dict[str, float]] = {}
-            for node in graph.level(tau):
-                mass = alphas.get(node, 0.0)
+            lids = graph.locations[tau]
+            next_lids = graph.locations[tau + 1]
+            for i, mass in enumerate(alphas[tau]):
                 if mass <= 0.0:
                     continue
-                row = joint.setdefault(node.location, {})
-                for child, probability in node.edges.items():
-                    row[child.location] = (row.get(child.location, 0.0)
-                                           + mass * probability)
+                row = joint.setdefault(names[lids[i]], {})
+                for child, probability in zip(*out_edges(graph, tau, i)):
+                    name = names[next_lids[child]]
+                    row[name] = row.get(name, 0.0) + mass * float(probability)
             conditional: Dict[str, Dict[str, float]] = {}
             for src, row in joint.items():
                 total = sum(row.values())

@@ -18,9 +18,9 @@ Everything here is an exact dynamic program over the levelled ct-graph:
 
 Each graph query is answered by the matching
 :class:`~repro.queries.session.QuerySession` method, the one
-implementation of every query.  ``graph`` may be a ``CTGraph``, a
-``FlatCTGraph``, a ``MappedCTGraph``, a ``JointGraph`` or a
-``QuerySession``; the answers are bit-identical across the forms.  A
+implementation of every query.  ``graph`` may be a ``FlatCTGraph``, a
+``MappedCTGraph`` or a ``QuerySession``; the answers are bit-identical
+across the forms.  A
 call on a bare graph builds a throwaway session, so pass a session when
 asking several queries of one graph — the shared sweeps then run once.
 """

@@ -18,9 +18,8 @@ levels; the objects' trajectories are treated as independent given their
 readings (the cleaned distributions factorise).  They run on the flat
 columns: each argument may be anything
 :meth:`~repro.queries.session.QuerySession.ensure` accepts (a
-``CTGraph``, ``FlatCTGraph``, ``MappedCTGraph``, ``JointGraph`` or a
-prebuilt ``QuerySession``), and the answers are bit-identical across the
-forms.  Pass sessions when querying the same pair repeatedly: the
+``FlatCTGraph``, ``MappedCTGraph`` or a prebuilt ``QuerySession``), and
+the answers are bit-identical across the forms.  Pass sessions when querying the same pair repeatedly: the
 marginal sweeps are then computed once per object instead of once per
 call.
 """

@@ -94,8 +94,8 @@ def execute(graph: QueryInput, statement: str) -> QueryResult:
     """Run one statement against a cleaned ct-graph.
 
     ``graph`` may be anything :meth:`QuerySession.ensure` accepts — a
-    ``CTGraph``, ``FlatCTGraph``, ``MappedCTGraph`` or ``JointGraph``
-    (wrapped in a fresh session) or a prebuilt :class:`QuerySession`.
+    ``FlatCTGraph`` or ``MappedCTGraph`` (wrapped in a fresh session) or
+    a prebuilt :class:`QuerySession`.
     Pass the session when running many statements so the shared sweeps
     are computed once.  Results are bit-identical across the forms.
 

@@ -4,10 +4,7 @@ A :class:`QuerySession` answers stay, pattern, visit, dwell, MAP and
 top-k queries over a :class:`~repro.core.flatgraph.FlatCTGraph` — or
 any flat-shaped view, such as the mmap-served
 :class:`~repro.store.format.MappedCTGraph` a ``.ctg`` file loads to,
-whose columns feed the same DPs zero-copy.  Node graphs
-(:class:`~repro.core.ctgraph.CTGraph`,
-:class:`~repro.core.groups.JointGraph`) are converted once through their
-``to_flat()``.  The public query functions (:mod:`repro.queries.analytics`,
+whose columns feed the same DPs zero-copy.  The public query functions (:mod:`repro.queries.analytics`,
 :func:`~repro.queries.stay.stay_query`, the meeting queries and
 :func:`~repro.queries.ql.execute`) all delegate here, and each computes
 the shared sweeps **once** as flat arrays:
@@ -23,7 +20,7 @@ the shared sweeps **once** as flat arrays:
   distribution — so max-product is the backward sweep worth sharing.)
 
 Each query is index arithmetic over tuples.  Results are **bit-exact**
-with the ``CTNode``-walking DPs the test suite keeps as its oracle
+with the node-walking DPs the test suite keeps as its oracle
 (``tests/reference_queries.py``): the DPs follow level order and edge
 insertion order, the same skip criteria (``mass == 0.0`` forward skips,
 ``> 0.0`` emission filters) and the same accumulation patterns
@@ -65,7 +62,6 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import kernels
-from repro.core.ctgraph import CTGraph
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import Trajectory
 from repro.errors import QueryError
@@ -73,14 +69,12 @@ from repro.queries.pattern import Pattern
 from repro.queries.trajectory import TrajectoryQuery
 
 if TYPE_CHECKING:
-    from repro.core.groups import JointGraph
     from repro.store.format import MappedCTGraph
 
 __all__ = ["QuerySession", "distribution_entropy"]
 
-#: What a session accepts: a flat graph, a flat-shaped view, or a node
-#: graph with ``to_flat()``.
-QueryGraph = Union[CTGraph, FlatCTGraph, "MappedCTGraph", "JointGraph"]
+#: What a session accepts: a flat graph or a flat-shaped view.
+QueryGraph = Union[FlatCTGraph, "MappedCTGraph"]
 #: What every public query function accepts: a graph or a session.
 QueryInput = Union[QueryGraph, "QuerySession"]
 
@@ -88,18 +82,14 @@ QueryInput = Union[QueryGraph, "QuerySession"]
 class QuerySession:
     """Cached query evaluation over one flat ct-graph.
 
-    Construct it from a :class:`FlatCTGraph` or a flat-shaped view (used
-    as is) or from anything with a ``to_flat()`` method — a
-    :class:`CTGraph` or a :class:`~repro.core.groups.JointGraph` —
-    converted once.  The session is cheap to build — sweeps run lazily
+    Construct it from a :class:`FlatCTGraph` or a flat-shaped view such
+    as a mapped ``.ctg`` file.  The session is cheap to build — sweeps run lazily
     on first use and are cached, so asking eight queries costs one
     forward pass, not eight.  Sessions are not thread-safe (caches are
     plain dicts).
     """
 
     def __init__(self, graph: QueryGraph, backend: str = "python") -> None:
-        if hasattr(graph, "to_flat"):
-            graph = graph.to_flat()
         self.graph = graph
         edge_levels = graph.duration - 1
         #: The *resolved* sweep backend ("python" or "numpy"); "auto"
@@ -165,8 +155,8 @@ class QuerySession:
     def alphas(self) -> List[List[float]]:
         """The forward pass: P(trajectory passes through node), per level.
 
-        Same skip criterion (``mass == 0.0``) and accumulation order as
-        :meth:`CTGraph.node_marginals`.  Always a list of plain float
+        Forward masses skip ``mass == 0.0`` nodes and accumulate in CSR
+        edge order.  Always a list of plain float
         lists, whichever backend computed it.
         """
         if self._alphas is None:

@@ -4,8 +4,8 @@ The answer to a trajectory query over a ct-graph is *yes* with probability
 ``p`` = total conditioned mass of the source->target paths whose location
 sequence matches the pattern.  The evaluator runs the pattern's DFA in
 lock-step with a forward pass over the flat columns of the graph
-(:class:`~repro.core.flatgraph.FlatCTGraph`; node graphs are converted
-through :class:`~repro.queries.session.QuerySession`): the DP state is a
+(:class:`~repro.core.flatgraph.FlatCTGraph`, through a
+:class:`~repro.queries.session.QuerySession`): the DP state is a
 probability per ``(graph node, DFA state)`` pair.  Determinism of the DFA
 makes the sum exact — each trajectory is counted through exactly one DFA
 run.
@@ -41,7 +41,7 @@ class TrajectoryQuery:
         """P(the cleaned trajectory matches the pattern).
 
         Accepts every form :meth:`QuerySession.ensure` does (a flat
-        graph or view, a node graph with ``to_flat()``, a session).  The
+        graph, a mapped view, a session).  The
         DP runs over the flat columns; ``(node index, DFA state)``
         frontier keys are packed into one int (``index * num_states +
         state``) and the DFA transition per interned location id is

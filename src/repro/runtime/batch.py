@@ -66,7 +66,6 @@ from typing import (
 
 from repro.core.algorithm import CleaningOptions, CleaningStats, build_ct_graph
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence, ReadingSequence
 from repro.errors import (
@@ -79,13 +78,14 @@ from repro.errors import (
 from repro.queries.ql import QueryResult, execute as _execute_statement
 from repro.queries.session import QuerySession
 from repro.runtime.plan import QueryPlan, SharedCleaningPlan
-from repro.store.format import load_ctg
+from repro.store.format import MappedCTGraph, load_ctg
 from repro.store.graphstore import GraphStore
 
 __all__ = ["BatchOutcome", "BatchResult", "BatchCleaner", "clean_many"]
 
-#: Either materialised form a batch outcome can carry.
-GraphLike = Union[CTGraph, FlatCTGraph]
+#: What a batch outcome's ``graph`` holds: the in-memory flat graph, or
+#: with a store the mmap view of the object's ``.ctg`` entry.
+GraphLike = Union[FlatCTGraph, MappedCTGraph]
 
 #: What the batch accepts per object: an interpreted l-sequence, or raw
 #: readings (interpreted in the worker through the cleaner's ``prior``).
@@ -100,9 +100,8 @@ class BatchOutcome:
     than the exception object — stable under pickling and enough to triage
     (``rfid-ctg analyze`` locates a contradiction; ``WorkerCrashError`` /
     ``CleaningTimeoutError`` name the runtime-level faults).  Successful
-    outcomes carry the graph (node or flat form, per
-    ``CleaningOptions.materialize``) — unless the batch ran with a
-    :class:`~repro.runtime.plan.QueryPlan` that discards graphs, in which
+    outcomes carry the graph (see :data:`GraphLike`) — unless the batch
+    ran with a :class:`~repro.runtime.plan.QueryPlan` that discards graphs, in which
     case ``queries`` holds the per-statement results and ``graph`` is
     ``None`` by design (``ok`` is therefore defined by the *absence of an
     error*, not by the presence of a graph).
@@ -230,7 +229,7 @@ def _clean_one_stored(index: int, lsequence: LSequence,
     ``.ctg`` segment on a miss, ship only the *path* back to the parent.
 
     No graph ever crosses the process pipe: a miss is cleaned with
-    ``materialize="store"`` (the engine writes its arrays straight into
+    ``output=`` set (the engine writes its arrays straight into
     the entry's staging file, published atomically), queries run against
     the worker-local mmap view, and the outcome carries ``ctg_path`` for
     the parent to re-open.  A hit skips Algorithm 1 entirely.
@@ -243,8 +242,7 @@ def _clean_one_stored(index: int, lsequence: LSequence,
         try:
             graph = build_ct_graph(
                 lsequence, plan.constraints,
-                dataclasses.replace(options, materialize="store",
-                                    output=str(temp)),
+                dataclasses.replace(options, output=str(temp)),
                 plan=plan)
             graph.close()
             store.commit(temp, key)
@@ -277,14 +275,6 @@ def _clean_one(index: int, sequence: SequenceLike,
         if store is not None:
             return _clean_one_stored(index, lsequence, plan, options,
                                      query_plan, store, started)
-        if (query_plan is not None and not query_plan.keep_graphs
-                and options.materialize == "auto"):
-            # Nobody will see the graph — only the query results travel
-            # back — so "auto" resolves to the flat form: the compact
-            # engine skips CTNode materialisation and the QuerySession
-            # runs on the arrays directly.  An explicit materialize choice
-            # is respected (results are identical either way).
-            options = dataclasses.replace(options, materialize="flat")
         graph: Optional[GraphLike] = build_ct_graph(
             lsequence, plan.constraints, options, plan=plan)
         queries: Optional[Tuple[QueryResult, ...]] = None
@@ -641,10 +631,6 @@ class BatchCleaner:
                 raise BatchConfigurationError(
                     f"store must be a GraphStore, got "
                     f"{type(store).__name__}")
-            if options.materialize == "nodes":
-                raise BatchConfigurationError(
-                    "store= persists flat .ctg entries; "
-                    'materialize="nodes" cannot be combined with it')
             if options.output is not None:
                 raise BatchConfigurationError(
                     "store= chooses each object's .ctg path by content "

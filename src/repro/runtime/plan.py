@@ -57,10 +57,8 @@ class QueryPlan:
     With ``keep_graphs=False`` (the default) the graphs themselves are
     dropped after querying — only the query payloads travel back to the
     parent, which is the point: marginals and MAP paths are a few hundred
-    bytes where a pickled graph is megabytes.  Dropping the graph also
-    lets ``materialize="auto"`` cleanings run flat end to end (no
-    ``CTNode`` is ever built).  Set ``keep_graphs=True`` to get both the
-    graphs and the query results.
+    bytes where a pickled graph is megabytes.  Set ``keep_graphs=True``
+    to get both the graphs and the query results.
 
     A malformed statement (bad keyword) raises
     :class:`~repro.errors.BatchConfigurationError` here; argument errors

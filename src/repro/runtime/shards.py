@@ -43,12 +43,37 @@ from repro.errors import (
 )
 from repro.runtime.sessions import StreamSessionManager
 
-__all__ = ["ServeEngine", "StreamShardPool", "shard_of"]
+__all__ = ["ServeEngine", "StreamShardPool", "parse_serve_line", "shard_of"]
 
 #: Default per-pool bound on dispatched-but-unanswered readings.
 DEFAULT_MAX_INFLIGHT = 256
 
 _SENTINEL = object()
+
+
+def parse_serve_line(raw: str, err) -> Optional[Tuple[str, Dict]]:
+    """One ``rfid-ctg serve`` input line as ``(object_id, candidates)``.
+
+    Returns ``None`` for a blank line, and — after writing the
+    ``serve: skipping malformed line`` note to ``err`` — for a line that
+    is not a JSON object whose ``object`` is a string and whose
+    ``candidates`` is a JSON object.  The single-process loop and the
+    shard dispatcher both parse through here, so a bad line is skipped
+    the same way under every ``--shards`` count.
+    """
+    line = raw.strip()
+    if not line:
+        return None
+    try:
+        reading = json.loads(line)
+    except ValueError:
+        reading = None
+    if (isinstance(reading, dict)
+            and isinstance(reading.get("object"), str)
+            and isinstance(reading.get("candidates"), dict)):
+        return reading["object"], reading["candidates"]
+    err.write(f"serve: skipping malformed line: {line[:120]}\n")
+    return None
 
 
 def shard_of(object_id: str, shards: int) -> int:
@@ -378,17 +403,10 @@ class StreamShardPool:
             raw = next(iterator, _SENTINEL)
             if raw is _SENTINEL:
                 break
-            line = raw.strip()
-            if not line:
+            reading = parse_serve_line(raw, err)
+            if reading is None:
                 continue
-            try:
-                reading = json.loads(line)
-                object_id = reading["object"]
-                candidates = reading["candidates"]
-            except (ValueError, KeyError, TypeError):
-                err.write(
-                    f"serve: skipping malformed line: {line[:120]}\n")
-                continue
+            object_id, candidates = reading
             self._inboxes[shard_of(object_id, self.shards)].put(
                 ("reading", next_seq, object_id, candidates))
             next_seq += 1

@@ -20,7 +20,7 @@ stream-checkpoint codec (:func:`write_stream_checkpoint` /
 :class:`repro.streaming.StreamingCleaner` for durable kill/resume.
 
 Algorithm 1 writes the format natively via
-``CleaningOptions(materialize="store", output=...)`` — see
+``CleaningOptions(output=...)`` — see
 ``docs/store.md`` for the format spec, the mmap contract and the cache
 keying rules, and ``benchmarks/bench_store.py`` for the numbers.
 """

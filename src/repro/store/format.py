@@ -19,7 +19,10 @@ laid out so a loader can hand out per-level array views over a single
 
 ``stats section`` (optional, flag bit 0)
     ``u32 length`` + a UTF-8 JSON object of the
-    :class:`~repro.core.algorithm.CleaningStats` fields.
+    :class:`~repro.core.algorithm.CleaningStats` counters — the fields
+    that take part in equality.  Wall-clock timings are left out, so two
+    identical cleanings write identical bytes.  (Files written before
+    that rule may still carry ``*_seconds`` fields; they load as is.)
 
 ``column sections`` (each 8-byte aligned)
     In a fixed canonical order: per level ``tau`` the ``locations`` and
@@ -73,7 +76,12 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core import kernels
-from repro.core.flatgraph import FlatCTGraph
+from repro.core.flatgraph import (
+    FlatCTGraph,
+    num_valid_trajectories,
+    paths,
+    trajectory_probability,
+)
 from repro.errors import QueryError, StoreChecksumError, StoreFormatError
 
 __all__ = [
@@ -91,6 +99,7 @@ __all__ = [
     "read_stream_checkpoint",
     "read_shard_manifest",
     "save_ctg",
+    "save_mapped",
     "write_ctg",
     "write_stream_checkpoint",
 ]
@@ -215,7 +224,7 @@ def write_ctg(path, *, location_names: Sequence[str],
         flags |= _FLAG_STATS
         stats_blob = json.dumps(
             {field.name: getattr(stats, field.name)
-             for field in dataclasses.fields(stats)},
+             for field in dataclasses.fields(stats) if field.compare},
             sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(b"\x00" * HEADER_BYTES)  # patched after the payload
@@ -265,15 +274,9 @@ def write_ctg(path, *, location_names: Sequence[str],
 def save_ctg(graph, path) -> int:
     """Write a finished graph as a ``.ctg`` file; returns bytes written.
 
-    Accepts a :class:`~repro.core.flatgraph.FlatCTGraph`, a
-    :class:`MappedCTGraph` view (re-encoding round-trips exactly), or a
-    node-form :class:`~repro.core.ctgraph.CTGraph` (converted through
-    ``to_flat()`` first).
+    Accepts a :class:`~repro.core.flatgraph.FlatCTGraph` or a
+    :class:`MappedCTGraph` view (re-encoding round-trips exactly).
     """
-    from repro.core.ctgraph import CTGraph  # lazy: keeps the DAG shallow
-
-    if isinstance(graph, CTGraph):
-        graph = graph.to_flat()
     return write_ctg(
         path,
         location_names=tuple(graph.location_names),
@@ -284,6 +287,18 @@ def save_ctg(graph, path) -> int:
         edge_probabilities=graph.edge_probabilities,
         source_probabilities=graph.source_probabilities,
         stats=graph.stats)
+
+
+def save_mapped(graph, path) -> "MappedCTGraph":
+    """Write ``graph`` as a ``.ctg`` file and return the mmap view of it.
+
+    The view carries ``graph.stats`` — the live in-memory counters and
+    timings — rather than the counters-only copy the file stores.
+    """
+    save_ctg(graph, path)
+    view = load_ctg(path, mmap=True)
+    view.stats = graph.stats
+    return view
 
 
 # ----------------------------------------------------------------------
@@ -416,43 +431,15 @@ class MappedCTGraph:
         return os.path.getsize(self.path)
 
     def trajectory_probability(self, trajectory: Sequence[str]) -> float:
-        """Conditioned probability of one concrete location sequence.
+        """The conditioned probability of one trajectory (0 if invalid)."""
+        return trajectory_probability(self, trajectory)
 
-        The flat-column analogue of
-        :meth:`~repro.core.ctgraph.CTGraph.trajectory_probability`: a
-        forward pass that keeps only the nodes whose location matches the
-        next element (several nodes per level may match — they differ in
-        stay state).
-        """
-        if len(trajectory) != self.duration:
-            raise QueryError(
-                f"trajectory has {len(trajectory)} steps; graph duration "
-                f"is {self.duration}")
-        ids = {name: lid for lid, name in enumerate(self.location_names)}
-        first = ids.get(trajectory[0])
-        lids = self.locations[0]
-        mass = {i: float(self.source_probabilities[i])
-                for i in range(len(lids)) if lids[i] == first}
-        for tau in range(self.duration - 1):
-            target = ids.get(trajectory[tau + 1])
-            offsets = self.edge_offsets[tau]
-            children = self.edge_children[tau]
-            probabilities = self.edge_probabilities[tau]
-            next_lids = self.locations[tau + 1]
-            step: Dict[int, float] = {}
-            for i, amount in mass.items():
-                for e in range(offsets[i], offsets[i + 1]):
-                    child = children[e]
-                    if next_lids[child] == target:
-                        step[child] = (step.get(child, 0.0)
-                                       + amount * float(probabilities[e]))
-            mass = step
-            if not mass:
-                return 0.0
-        return sum(mass.values())
+    def paths(self):
+        """Every valid trajectory with its conditioned probability."""
+        return paths(self)
 
     def num_valid_trajectories(self) -> int:
-        return self.materialize().num_valid_trajectories()
+        return num_valid_trajectories(self)
 
     def validate(self, tolerance: float = 1e-6) -> None:
         """Full Definition 4 validation (via a materialised copy)."""

@@ -8,7 +8,7 @@ output-affecting options.  Keying by content means repeat cleanings of
 the same problem are cache hits whoever asks, across processes and runs:
 :meth:`GraphStore.clean` answers a hit with a zero-copy
 :class:`~repro.store.format.MappedCTGraph` in microseconds, and a miss
-by running Algorithm 1 with ``materialize="store"`` — the engine writes
+by running Algorithm 1 with ``output=`` set — the engine writes
 its arrays straight into the ``.ctg`` layout, the store publishes the
 file atomically (temp + ``os.replace``), and the caller gets the same
 mmap view a hit would have produced.
@@ -160,7 +160,7 @@ class GraphStore:
         ``sequence`` is an :class:`~repro.core.lsequence.LSequence` or a
         raw :class:`~repro.core.lsequence.ReadingSequence` (then
         ``prior`` is required, exactly as in the batch runtime).  On a
-        miss, Algorithm 1 runs with ``materialize="store"`` — the engine
+        miss, Algorithm 1 runs with ``output=`` set — the engine
         writes the ``.ctg`` directly — and the entry is published
         atomically before the view is returned.  ``plan`` threads a
         :class:`~repro.runtime.plan.SharedCleaningPlan` through, sharing
@@ -187,7 +187,7 @@ class GraphStore:
         try:
             graph = build_ct_graph(
                 lsequence, constraints,
-                replace(options, materialize="store", output=str(temp)),
+                replace(options, output=str(temp)),
                 plan=plan)
             graph.close()
             self.commit(temp, key)

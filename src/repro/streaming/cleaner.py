@@ -36,14 +36,14 @@ from dataclasses import asdict
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.algorithm import (
+    BuiltGraph,
     CleaningOptions,
     CleaningStats,
     build_ct_graph,
 )
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph, CTNode
+from repro.core.flatgraph import CTNode, flat_from_levels
 from repro.core.incremental import (
-    FinalizedGraph,
     Frontier,
     advance_frontier_routed,
     coerce_candidate_row,
@@ -71,6 +71,10 @@ __all__ = ["StreamingCleaner", "DEFAULT_WINDOW"]
 #: Default retained-window length (timesteps); matches the bounded-memory
 #: gate in ``benchmarks/bench_streaming.py``.
 DEFAULT_WINDOW = 64
+
+#: ``CleaningOptions`` fields that older checkpoints may still carry;
+#: :meth:`StreamingCleaner.resume` drops them (see its docstring).
+_RETIRED_OPTIONS = ("engine", "materialize")
 
 #: One retained level: the candidate row of that timestep and the forward
 #: frontier *after* ingesting it — dict form under the python backend, a
@@ -212,7 +216,7 @@ class StreamingCleaner:
     # ------------------------------------------------------------------
     # window conditioning
     # ------------------------------------------------------------------
-    def finalize(self, *, output: Optional[str] = None) -> FinalizedGraph:
+    def finalize(self, *, output: Optional[str] = None) -> BuiltGraph:
         """Condition the retained window and return its ct-graph.
 
         While nothing has been evicted (``base == 0``) this is exactly
@@ -224,10 +228,8 @@ class StreamingCleaner:
         their collapsed prefix mass, so every marginal and trajectory
         probability over the window equals what the full-stream graph
         would answer (the Markov property; pinned against the unbounded
-        reference by the tests).  ``TL`` departure times inside the
-        graph are rebased to the same relative labelling (entries about
-        evicted timesteps go negative).  The cleaner's state is
-        untouched — ingesting and finalizing may interleave freely.
+        reference by the tests).  The cleaner's state is untouched —
+        ingesting and finalizing may interleave freely.
         """
         if not self._levels:
             raise ReadingSequenceError("no readings ingested yet")
@@ -242,7 +244,7 @@ class StreamingCleaner:
             self._output_consumed = True
         return graph
 
-    def _window_graph(self, options: CleaningOptions) -> FinalizedGraph:
+    def _window_graph(self, options: CleaningOptions) -> BuiltGraph:
         """Algorithm 1's backward conditioning over the retained window.
 
         Mirrors Algorithm 1 as :mod:`repro.core.algorithm` documents it
@@ -261,10 +263,11 @@ class StreamingCleaner:
         count = len(rows)
         last = count - 1
 
-        def rebased(state: NodeState) -> Tuple:
-            departures = tuple((time - base, location) for time, location
-                               in state_departures(state))
-            return (state_location(state), state_stay(state), departures)
+        def record(index: int, state: NodeState) -> CTNode:
+            # The flat graph drops TL departures; the absolute state
+            # stays the level key.
+            return CTNode(index, state_location(state), state_stay(state),
+                          ())
 
         stats = CleaningStats()
         levels: List[Dict[NodeState, CTNode]] = [{} for _ in range(count)]
@@ -273,7 +276,7 @@ class StreamingCleaner:
             if options.strict_truncation and last == 0 \
                     and state_stay(state) is not None:
                 continue
-            node = CTNode(0, *rebased(state))
+            node = record(0, state)
             levels[0][state] = node
             prior_source_probability[node] = mass
             stats.nodes_created += 1
@@ -283,7 +286,7 @@ class StreamingCleaner:
                 "constraints")
 
         # Forward: expand absolute node states level by level; the node
-        # objects carry the window-relative labelling.
+        # records carry the window-relative timestep.
         for index in range(count - 1):
             frontier = levels[index]
             next_level = levels[index + 1]
@@ -300,11 +303,10 @@ class StreamingCleaner:
                         continue
                     child = next_level.get(successor)
                     if child is None:
-                        child = CTNode(index + 1, *rebased(successor))
+                        child = record(index + 1, successor)
                         next_level[successor] = child
                         stats.nodes_created += 1
                     node.edges[child] = probability
-                    child.parents.append(node)
                     stats.edges_created += 1
             if not next_level:
                 raise ZeroMassError(
@@ -349,33 +351,22 @@ class StreamingCleaner:
             if level_max > 0.0:
                 for node in level.values():
                     survival[node] /= level_max
-        for index in range(1, count):
-            for node in levels[index].values():
-                node.parents = [parent for parent in node.parents
-                                if parent.edges]
-
-        source_probabilities: Dict[CTNode, float] = {}
-        for node in levels[0].values():
-            source_probabilities[node] = (
-                prior_source_probability[node] * survival.get(node, 1.0))
-        total = math.fsum(source_probabilities.values())
+        sources = list(levels[0].values())
+        source_probabilities = [
+            prior_source_probability[node] * survival.get(node, 1.0)
+            for node in sources]
+        total = math.fsum(source_probabilities)
         if total <= 0.0:
             raise ZeroMassError(
                 "the valid trajectories have zero total prior probability")
-        for node in source_probabilities:
-            source_probabilities[node] /= total
+        flat = flat_from_levels([tuple(level.values()) for level in levels],
+                                [p / total for p in source_probabilities],
+                                stats)
+        if options.output is not None:
+            from repro.store.format import save_mapped
 
-        graph = CTGraph([tuple(level.values()) for level in levels],
-                        source_probabilities, stats=stats)
-        if options.columnar_materialize:
-            flat = graph.to_flat()
-            if options.store_materialize:
-                from repro.store.format import load_ctg, save_ctg
-
-                save_ctg(flat, options.output)
-                return load_ctg(options.output, mmap=True)
-            return flat
-        return graph
+            return save_mapped(flat, options.output)
+        return flat
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -447,9 +438,11 @@ class StreamingCleaner:
         :class:`~repro.errors.StoreFormatError` /
         :class:`~repro.errors.StoreChecksumError` on a damaged file,
         including meta whose options or constraints do not validate.
-        Checkpoints written while :class:`CleaningOptions` still had an
-        ``engine`` field carry it in their options; it selected between
-        bit-identical builds, so it is dropped and they resume exactly.
+        Checkpoints written while :class:`CleaningOptions` still had
+        ``engine`` and ``materialize`` fields carry them in their options;
+        both selected between bit-identical builds (``output`` alone now
+        selects the store write), so they are dropped and the session
+        resumes exactly.  Any other unknown option stays an error.
         """
         from repro.io.jsonio import constraints_from_dicts
         from repro.store.format import read_stream_checkpoint
@@ -462,7 +455,8 @@ class StreamingCleaner:
             duration = meta["duration"]
             output_consumed = meta["output_consumed"]
             fields = dict(meta["options"])
-            fields.pop("engine", None)
+            for retired in _RETIRED_OPTIONS:
+                fields.pop(retired, None)
             options = CleaningOptions(**fields)
             constraints = constraints_from_dicts(meta["constraints"])
         except (KeyError, TypeError, ValueError, ReproError) as error:

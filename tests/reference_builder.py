@@ -8,11 +8,14 @@ conditioning with the survival damping (DESIGN.md §3).  It shares no code
 with the production builder in :mod:`repro.core.algorithm` beyond the
 successor relation and the options/stats types, which is what makes it a
 useful oracle: the parity suites (``test_engine_vs_reference`` and the
-suites that import from it) compare ``__getstate__``, the flat form and
-the stats counters of both builders on random instances.
+suites that import from it) compare the oracle graph's ``to_flat()``
+with the production graph, and the stats counters of both builders, on
+random instances.
 
-It accepts the same ``options``/``plan`` arguments; columnar
-materialisations are a ``to_flat()`` conversion of the node graph.
+It accepts the same ``options``/``plan`` arguments and returns the
+node-form :class:`tests.reference_graph.CTGraph`; with ``output=`` it
+writes that graph's flat form to the ``.ctg`` path instead and returns
+the mapped view, exactly like production.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Dict, List
 
 from repro.core.algorithm import CleaningOptions, CleaningStats, _run_precheck
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.lsequence import LSequence
 from repro.core.nodes import (
     DepartureFilter,
@@ -32,6 +34,7 @@ from repro.core.nodes import (
     source_states,
 )
 from repro.errors import ReadingSequenceError, ZeroMassError
+from tests.reference_graph import CTGraph, CTNode
 
 
 def build_ct_graph_reference(lsequence: LSequence,
@@ -183,12 +186,8 @@ def build_ct_graph_reference(lsequence: LSequence,
     stats.backward_seconds = time.perf_counter() - backward_started
     graph = CTGraph([tuple(level.values()) for level in levels],
                     source_probabilities, stats=stats)
-    if options.columnar_materialize:
-        flat = graph.to_flat()
-        if options.store_materialize:
-            from repro.store.format import load_ctg, save_ctg
+    if options.output is not None:
+        from repro.store.format import save_mapped
 
-            save_ctg(flat, options.output)
-            return load_ctg(options.output, mmap=True)
-        return flat
+        return save_mapped(graph.to_flat(), options.output)
     return graph

@@ -2,7 +2,7 @@
 for bit.
 
 These are the direct dynamic programs over the ``CTNode`` web of a
-:class:`~repro.core.ctgraph.CTGraph` — one walk over ``node.edges`` per
+:class:`tests.reference_graph.CTGraph` — one walk over ``node.edges`` per
 query, level order, edge insertion order.  Production code answers every
 query through :class:`repro.queries.session.QuerySession` over the flat
 columns; this module shares no query code with it (stay marginals come
@@ -11,8 +11,7 @@ makes it a useful oracle: ``tests/test_queries_flat.py`` compares the
 two on random instances and ``benchmarks/bench_queries.py`` answers its
 node leg through :func:`execute_reference`.
 
-Every function takes a node graph (``CTGraph``; the pattern DP and the
-marginal helpers also run on a ``JointGraph``) and returns exactly what
+Every function takes a node graph (``CTGraph``) and returns exactly what
 the matching public function returns.
 """
 
@@ -22,10 +21,10 @@ import heapq
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.lsequence import Trajectory
 from repro.errors import QueryError
 from repro.queries.pattern import Pattern
+from tests.reference_graph import CTGraph, CTNode
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +297,7 @@ def match_probability(graph, pattern) -> float:
     """P(the cleaned trajectory matches ``pattern``).
 
     The pattern's DFA runs in lock-step with a forward pass; the DP state
-    is a probability per ``(graph node, DFA state)`` pair.  Runs on any
-    node-shaped graph (``CTGraph`` or ``JointGraph``).
+    is a probability per ``(graph node, DFA state)`` pair.
     """
     if isinstance(pattern, str):
         pattern = Pattern.parse(pattern)

@@ -73,14 +73,14 @@ class TestPaperStyleScenario:
     def test_dead_branches_removed(self, scenario):
         graph = build_ct_graph(*scenario)
         # Only the L1 source survives; levels contain exactly the path.
-        assert [node.location for node in graph.sources] == ["L1"]
+        assert graph.locations_at(0) == ("L1",)
         assert graph.num_nodes == 3
         assert graph.num_edges == 2
 
     def test_source_conditioning(self, scenario):
         graph = build_ct_graph(*scenario)
-        (source,) = graph.sources
-        assert graph.source_probability(source) == pytest.approx(1.0)
+        (probability,) = graph.source_probabilities
+        assert probability == pytest.approx(1.0)
 
 
 class TestConditioningRatios:
@@ -137,9 +137,8 @@ class TestLatencyGraphShape:
                         {"B": 0.5, "C": 0.5}])
         cs = ConstraintSet([Latency("B", 3)])
         graph = build_ct_graph(ls, cs)
-        level1 = graph.level(1)
-        stays = sorted(node.stay if node.stay is not None else -1
-                       for node in level1)
+        stays = sorted(stay if stay is not None else -1
+                       for stay in graph.stays[1])
         assert stays == [1, 2]
         paths = dict(graph.paths())
         # A,B,B: stay of 2 truncated by window (lenient: valid);
@@ -173,8 +172,7 @@ class TestNumericalRobustness:
         cs = ConstraintSet([Unreachable("A", "C"), Unreachable("C", "A")])
         graph = build_ct_graph(LSequence(steps), cs)
         graph.validate()
-        total = math.fsum(
-            graph.source_probability(node) for node in graph.sources)
+        total = math.fsum(graph.source_probabilities)
         assert total == pytest.approx(1.0)
 
     def test_tiny_probabilities_survive(self):

@@ -225,7 +225,7 @@ class TestC006BlowupEstimate:
         cs = ConstraintSet([Latency("A", 3), TravelingTime("B", "C", 3)])
         bounds = ctgraph_size_bounds(ls, cs)
         graph = build_ct_graph(ls, cs)
-        per_level = [len(graph.level(tau)) for tau in range(graph.duration)]
+        per_level = [graph.level_size(tau) for tau in range(graph.duration)]
         assert all(actual <= bound
                    for actual, bound in zip(per_level, bounds))
 

@@ -20,6 +20,7 @@ from repro.queries.analytics import (
     uncertainty_reduction,
     visit_probability,
 )
+from repro.queries.stay import stay_query
 
 
 @pytest.fixture
@@ -159,7 +160,7 @@ class TestVisitStatistics:
     def test_span_of_single_step_is_marginal(self, case):
         from repro.queries.analytics import span_probability
         _, _, graph, _ = case
-        for location, probability in graph.location_marginal(1).items():
+        for location, probability in stay_query(graph, 1).items():
             assert span_probability(graph, location, 1, 1) \
                 == pytest.approx(probability)
 

@@ -13,6 +13,7 @@ from repro.inference import MotilityProfile, infer_constraints
 from repro.io.archives import load_dataset, save_dataset
 from repro.io.jsonio import load_readers, save_readers
 from repro.rfid.readers import place_default_readers
+from repro.queries.stay import stay_query
 
 
 class TestReadersRoundTrip:
@@ -70,8 +71,8 @@ class TestDatasetArchive:
         assert graph_a.num_valid_trajectories() \
             == graph_b.num_valid_trajectories()
         for tau in range(graph_a.duration):
-            assert graph_a.location_marginal(tau) \
-                == pytest.approx(graph_b.location_marginal(tau))
+            assert stay_query(graph_a, tau) \
+                == pytest.approx(stay_query(graph_b, tau))
         truth = tuple(original_traj.truth.locations)
         assert graph_a.trajectory_probability(truth) \
             == pytest.approx(graph_b.trajectory_probability(truth))

@@ -161,4 +161,4 @@ class TestBeamCleaner:
         cs = ConstraintSet([Latency("B", 3)])
         beamed = BeamCleaner(cs, beam_width=4).build(LSequence(rows))
         for tau in range(beamed.duration):
-            assert len(beamed.level(tau)) <= 4
+            assert beamed.level_size(tau) <= 4

@@ -282,6 +282,46 @@ class TestServe:
             main(base[:-2] + ["--shards", "3", "--checkpoint-dir",
                               str(ckpt), "--resume"])
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_malformed_lines_are_skipped_under_every_shard_count(
+            self, setup, tmp_path, capsys, shards):
+        # A non-string object id used to crash the single-process fleet at
+        # end of stream (sorting mixed ids) and the sharded one at
+        # dispatch (hashing an int); a non-object ``candidates`` crashed
+        # ingestion.  Such lines are skipped with the malformed note, and
+        # finals and checkpoints equal those of the clean stream.
+        constraints_path, stream = setup
+        clean_lines = stream.read_text().splitlines()
+        bad = ['{"object": 5, "candidates": {"A": 1.0}}',
+               '{"object": null, "candidates": {"A": 1.0}}',
+               '{"object": "tag-1", "candidates": [1, 2]}',
+               '{"object": "tag-2", "candidates": "A"}',
+               '[1, 2]']
+        dirty_lines = list(clean_lines)
+        for offset, line in enumerate(bad):
+            dirty_lines.insert(7 * offset + 3, line)
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_text("\n".join(dirty_lines) + "\n")
+
+        def run(input_path, ckpt):
+            assert main(["serve", "--constraints-file",
+                         str(constraints_path), "--input", str(input_path),
+                         "--window", "16", "--shards", str(shards),
+                         "--checkpoint-dir", str(ckpt)]) == 0
+            captured = capsys.readouterr()
+            checkpoints = {
+                path.relative_to(ckpt).as_posix(): path.read_bytes()
+                for path in sorted(ckpt.glob("**/*.ckpt"))}
+            return (sorted(line for line in captured.out.splitlines()
+                           if '"final": true' in line),
+                    checkpoints, captured.err)
+
+        clean_finals, clean_ckpts, _ = run(stream, tmp_path / "clean")
+        dirty_finals, dirty_ckpts, err = run(dirty, tmp_path / "dirty")
+        assert dirty_finals == clean_finals and len(clean_finals) == 2
+        assert dirty_ckpts == clean_ckpts and clean_ckpts
+        assert err.count("serve: skipping malformed line") == len(bad)
+
     def test_live_estimates_and_drops(self, setup, tmp_path, capsys):
         import json
 

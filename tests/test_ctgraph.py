@@ -1,4 +1,9 @@
-"""Tests for the CTGraph structure and its query primitives."""
+"""Tests for the node-form oracle graph (``tests/reference_graph.py``):
+its structure, its own DPs, validation and pickling.
+
+The oracle is what ``tests/reference_builder.py`` builds; production's
+flat graph is tested in ``tests/test_flatgraph.py``.
+"""
 
 import math
 import pickle
@@ -7,17 +12,20 @@ import sys
 
 import pytest
 
-from repro.core.algorithm import build_ct_graph
 from repro.core.constraints import ConstraintSet, Unreachable
 from repro.core.lsequence import LSequence
 from repro.errors import GraphInvariantError, QueryError
+from tests.reference_builder import (
+    build_ct_graph_reference as build_reference,
+)
+from tests.reference_graph import successor_for
 
 
 @pytest.fixture
 def diamond_graph():
     """Two middle alternatives converging: A -> {B, C} -> D."""
     ls = LSequence([{"A": 1.0}, {"B": 0.75, "C": 0.25}, {"D": 1.0}])
-    return build_ct_graph(ls, ConstraintSet())
+    return build_reference(ls, ConstraintSet())
 
 
 class TestStructure:
@@ -50,19 +58,19 @@ class TestStructure:
 
     def test_successor_for(self, diamond_graph):
         (source,) = diamond_graph.sources
-        node_b = source.successor_for("B")
+        node_b = successor_for(source, "B")
         assert node_b is not None and node_b.location == "B"
-        assert source.successor_for("Z") is None
+        assert successor_for(source, "Z") is None
 
     def test_successor_index_tracks_edge_replacement(self, diamond_graph):
         (source,) = diamond_graph.sources
-        node_b = source.successor_for("B")
-        assert source.successor_for("C") is not None
-        # Rebinding the edges dict (what the backward pass does) must
-        # invalidate the lazy per-location index.
+        node_b = successor_for(source, "B")
+        assert successor_for(source, "C") is not None
+        # Rebinding the edges dict (what the backward pass does) must be
+        # seen by the lookup.
         source.edges = {node_b: 1.0}
-        assert source.successor_for("C") is None
-        assert source.successor_for("B") is node_b
+        assert successor_for(source, "C") is None
+        assert successor_for(source, "B") is node_b
 
     def test_repr_mentions_shape(self, diamond_graph):
         assert "duration=3" in repr(diamond_graph)
@@ -100,7 +108,7 @@ class TestProbabilities:
         # Two nodes at the same location (different histories) merge in the
         # location marginal.
         ls = LSequence([{"A": 0.5, "B": 0.5}, {"C": 1.0}, {"C": 1.0}])
-        graph = build_ct_graph(ls, ConstraintSet())
+        graph = build_reference(ls, ConstraintSet())
         marginal = graph.location_marginal(1)
         assert marginal == {"C": pytest.approx(1.0)}
 
@@ -135,13 +143,13 @@ class TestValidateAndSize:
         # Regression for the `python -O` hole: the invariant checks must be
         # real raises, not asserts, so they still fire under PYTHONOPTIMIZE.
         script = (
-            "from repro.core.algorithm import build_ct_graph\n"
             "from repro.core.constraints import ConstraintSet\n"
             "from repro.core.lsequence import LSequence\n"
             "from repro.errors import GraphInvariantError\n"
+            "from tests.reference_builder import build_ct_graph_reference\n"
             "assert True is False  # proves -O stripped asserts\n"
             "ls = LSequence([{'A': 1.0}, {'B': 0.5, 'C': 0.5}, {'D': 1.0}])\n"
-            "graph = build_ct_graph(ls, ConstraintSet())\n"
+            "graph = build_ct_graph_reference(ls, ConstraintSet())\n"
             "(source,) = graph.sources\n"
             "graph._source_probabilities[source] = 0.25\n"
             "try:\n"
@@ -155,8 +163,10 @@ class TestValidateAndSize:
         import repro
 
         env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        src = Path(repro.__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), str(Path(__file__).resolve().parents[1]),
+             env.get("PYTHONPATH", "")])
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -174,7 +184,7 @@ class TestValidateAndSize:
     def test_pickle_round_trip_preserves_probabilities(self):
         ls = LSequence([{"A": 0.5, "B": 0.5}, {"A": 0.3, "C": 0.7},
                         {"B": 1.0}, {"A": 0.4, "B": 0.6}])
-        graph = build_ct_graph(ls, ConstraintSet([Unreachable("A", "A")]))
+        graph = build_reference(ls, ConstraintSet([Unreachable("A", "A")]))
         clone = pickle.loads(pickle.dumps(graph))
         assert list(clone.paths()) == list(graph.paths())
         assert clone.stats == graph.stats
@@ -185,7 +195,7 @@ class TestValidateAndSize:
         # the flat __getstate__ must not.
         duration = 1200
         ls = LSequence([{"A": 0.5, "B": 0.5}] * duration)
-        graph = build_ct_graph(ls, ConstraintSet())
+        graph = build_reference(ls, ConstraintSet())
         clone = pickle.loads(pickle.dumps(graph))
         assert clone.num_nodes == graph.num_nodes
         assert clone.num_edges == graph.num_edges
@@ -193,14 +203,14 @@ class TestValidateAndSize:
             == graph.location_marginal(duration // 2)
 
     def test_size_estimate_positive_and_monotone(self):
-        small = build_ct_graph(
+        small = build_reference(
             LSequence([{"A": 1.0}, {"B": 1.0}]), ConstraintSet())
-        large = build_ct_graph(
+        large = build_reference(
             LSequence([{"A": 0.5, "B": 0.5}] * 20), ConstraintSet())
         assert 0 < small.estimate_size_bytes() < large.estimate_size_bytes()
 
     def test_num_valid_trajectories_counts_paths(self):
-        graph = build_ct_graph(LSequence([{"A": 0.5, "B": 0.5}] * 10),
+        graph = build_reference(LSequence([{"A": 0.5, "B": 0.5}] * 10),
                                ConstraintSet())
         assert graph.num_valid_trajectories() == 2 ** 10
 

@@ -99,6 +99,11 @@ class TestEngineSelection:
         with pytest.raises(TypeError):
             CleaningOptions(engine="compact")
 
+    def test_materialize_option_is_gone(self):
+        # One built representation: the old shape selector is no option.
+        with pytest.raises(TypeError):
+            CleaningOptions(materialize="flat")
+
     def test_auto_gives_the_reference_answer(self):
         # The default call gives the oracle's distribution at short and
         # long durations (flat-form equality; enumerating paths would be
@@ -107,10 +112,7 @@ class TestEngineSelection:
             lsequence = _instance(duration)
             default = build_ct_graph(lsequence, CONSTRAINTS)
             reference = build_ct_graph_reference(lsequence, CONSTRAINTS)
-            default_state = default.__getstate__()
-            reference_state = reference.__getstate__()
-            for key in ("levels", "edges", "sources"):
-                assert default_state[key] == reference_state[key], key
+            assert default == reference.to_flat()
 
 
 class TestEngineCache:
@@ -174,14 +176,14 @@ class TestTimingStats:
             assert graph.stats.forward_seconds > 0.0, build.__name__
             assert graph.stats.backward_seconds > 0.0, build.__name__
 
-    @pytest.mark.parametrize("materialize", ["auto", "flat"])
+    @pytest.mark.parametrize("backend", ["auto", "python"])
     @pytest.mark.parametrize("duration", [2, 6, 30])
     def test_default_build_fills_every_phase_timing(self, duration,
-                                                    materialize):
+                                                    backend):
         # Small instances included: every default build runs the one
         # Algorithm 1 path, so the sweep slice is always measured.
         graph = build_ct_graph(_instance(duration), CONSTRAINTS,
-                               CleaningOptions(materialize=materialize))
+                               CleaningOptions(backend=backend))
         assert graph.stats.forward_seconds > 0.0
         assert graph.stats.backward_seconds > 0.0
         assert graph.stats.sweep_seconds > 0.0

@@ -78,8 +78,7 @@ def test_envelope_width_is_sound_and_tighter_than_c006(instance):
     try:
         graph = build_ct_graph_reference(
             lsequence, constraints,
-            CleaningOptions(materialize="flat",
-                            truncated_stay_policy=policy))
+            CleaningOptions(truncated_stay_policy=policy)).to_flat()
     except ZeroMassError:
         # Emptiness may or may not be provable abstractly (C005 is the
         # complete test); nothing more to check either way.
@@ -100,15 +99,13 @@ def test_auto_routing_is_bit_exact_with_both_engines(instance):
     builds match the oracle."""
     lsequence, constraints, strict = instance
     policy = "strict" if strict else "lenient"
-    base = CleaningOptions(truncated_stay_policy=policy, materialize="flat",
-                           backend="auto")
+    base = CleaningOptions(truncated_stay_policy=policy, backend="auto")
     routed = recommend_options(lsequence, constraints, base)
     assert routed.backend in ("python", "numpy")
     try:
         reference = build_ct_graph_reference(
             lsequence, constraints,
-            CleaningOptions(materialize="flat",
-                            truncated_stay_policy=policy))
+            CleaningOptions(truncated_stay_policy=policy)).to_flat()
     except ZeroMassError:
         with pytest.raises(ZeroMassError):
             build_ct_graph(lsequence, constraints, base)
@@ -174,8 +171,13 @@ class TestEnvelope:
         assert envelope.width_bounds()[0] != -1
 
     def test_estimate_graph_bytes_flat_is_smaller(self):
-        node_form, flat_form = estimate_graph_bytes([10, 10], [20])
-        assert 0 < flat_form < node_form
+        # The flat estimate of a 2x2 graph, against what the node-form
+        # oracle of that very shape measures.
+        ls = LSequence([{"A": 0.5, "B": 0.5}] * 2)
+        nodes = build_ct_graph_reference(ls, ConstraintSet())
+        flat_form = estimate_graph_bytes([2, 2], [4])
+        assert 0 < flat_form < nodes.estimate_size_bytes()
+        assert estimate_graph_bytes([10, 10], [20]) > flat_form
 
 
 class TestAdvisor:
@@ -185,11 +187,11 @@ class TestAdvisor:
         ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
         advice = advise(ls, self.CONSTRAINTS)
         assert isinstance(advice, EngineAdvice)
-        assert advice.materialize == "nodes"
+        assert not hasattr(advice, "materialize")
         assert advice.backend == "python"
         assert not advice.zero_mass
         assert 0 < advice.predicted_states <= 4 * advice.peak_level_width
-        assert advice.predicted_flat_bytes < advice.predicted_node_bytes
+        assert 0 < advice.predicted_flat_bytes
 
     def test_wide_instance_advice(self):
         small = advise(LSequence([{"A": 0.5, "B": 0.5}] * 4),
@@ -201,7 +203,8 @@ class TestAdvisor:
         advice = advise(ls, self.CONSTRAINTS)
         assert advice.duration == 120
         assert advice.predicted_states > small.predicted_states
-        assert advice.predicted_node_bytes > small.predicted_node_bytes
+        assert advice.predicted_flat_bytes > small.predicted_flat_bytes
+        assert advice.predicted_ctg_bytes > small.predicted_ctg_bytes
 
     def test_recommend_options_respects_explicit_choice(self):
         ls = LSequence([{"A": 1.0}] * 200)
@@ -213,7 +216,7 @@ class TestAdvisor:
         routed = recommend_options(ls, self.CONSTRAINTS,
                                    CleaningOptions(backend="auto"))
         assert routed.backend == "python"
-        assert routed.materialize == "auto"  # untouched
+        assert routed == CleaningOptions(backend="python")  # rest untouched
 
     def test_zero_mass_instances_are_flagged(self):
         ls = LSequence([{"A": 1.0}, {"D": 1.0}])
@@ -263,7 +266,7 @@ class TestPlanAdviceCache:
             plan=plan)
         assert seen == []
         reference = build_ct_graph_reference(ls, self.CONSTRAINTS)
-        assert graph.to_flat() == reference.to_flat()
+        assert graph == reference.to_flat()
 
 
 class TestAdviseReport:
@@ -276,7 +279,7 @@ class TestAdviseReport:
         advised = analyze(self.CONSTRAINTS, readings=ls, advise=True)
         (c010,) = advised.by_code("C010")
         assert "engine" not in c010.data
-        assert c010.data["materialize"] == "nodes"
+        assert "materialize" not in c010.data
         assert c010.data["backend"] == "python"
         assert c010.data["predicted_states"] > 0
 
@@ -287,7 +290,8 @@ class TestAdviseReport:
         (c006,) = report.by_code("C006")
         assert c007.data["total"] <= c006.data["total"]
         assert c007.data["c006_total"] == c006.data["total"]
-        assert "node_bytes" in c006.data and "flat_bytes" in c006.data
+        assert "flat_bytes" in c006.data and "ctg_bytes" in c006.data
+        assert "node_bytes" not in c006.data
 
     def test_c008_reports_dead_candidates(self):
         ls = LSequence([{"A": 1.0}, {"B": 0.5, "C": 0.5}])

@@ -37,6 +37,7 @@ from repro.core.incremental import (
 )
 from repro.errors import InconsistentReadingsError
 from repro.streaming import StreamingCleaner
+from repro.queries.stay import stay_query
 
 needs_numpy = pytest.mark.skipif(not kernels.numpy_available(),
                                  reason="numpy backend unavailable")
@@ -144,8 +145,8 @@ def test_streaming_kernel_matches_oracle_through_eviction(rows, constraints,
         kernel.extend(row)
     graph_a, graph_b = oracle.finalize(), kernel.finalize()
     for relative in range(oracle.retained_duration):
-        expected = graph_a.location_marginal(relative)
-        got = graph_b.location_marginal(relative)
+        expected = stay_query(graph_a, relative)
+        got = stay_query(graph_b, relative)
         assert list(got) == list(expected)
         for location, probability in expected.items():
             assert math.isclose(got[location], probability,

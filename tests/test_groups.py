@@ -11,6 +11,7 @@ from repro.core.groups import condition_on_meeting
 from repro.core.lsequence import LSequence
 from repro.core.naive import NaiveConditioner
 from repro.errors import InconsistentReadingsError, QueryError
+from repro.queries.stay import stay_query
 
 
 def joint_by_enumeration(ls_a, ls_b, constraints):
@@ -62,7 +63,7 @@ class TestConditionOnMeeting:
         _, _, _, graph_a, graph_b = pair_case
         joint = condition_on_meeting(graph_a, graph_b)
         for tau in range(joint.duration):
-            assert math.fsum(joint.location_marginal(tau).values()) \
+            assert math.fsum(stay_query(joint, tau).values()) \
                 == pytest.approx(1.0)
 
     def test_trajectory_probability(self, pair_case):
@@ -116,9 +117,9 @@ class TestConditionOnMeeting:
             return -sum(p * math.log2(p)
                         for p in distribution.values() if p > 0)
 
-        total_single = sum(entropy(graph_a.location_marginal(tau))
+        total_single = sum(entropy(stay_query(graph_a, tau))
                            for tau in range(graph_a.duration))
-        total_joint = sum(entropy(joint.location_marginal(tau))
+        total_joint = sum(entropy(stay_query(joint, tau))
                           for tau in range(joint.duration))
         assert total_joint <= total_single + 1e-9
 
@@ -220,3 +221,94 @@ def test_joint_property(instance):
     assert set(got) == set(expected)
     for trajectory, probability in expected.items():
         assert got[trajectory] == pytest.approx(probability, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# pinned output: the flat product build equals the node-web build it
+# replaced, bit for bit
+# ----------------------------------------------------------------------
+
+def _fingerprint(flat):
+    """SHA-256 prefix of every column, floats as ``float.hex``."""
+    import hashlib
+    import json
+
+    payload = [list(flat.location_names),
+               [list(row) for row in flat.locations],
+               [list(row) for row in flat.stays],
+               [list(row) for row in flat.edge_offsets],
+               [list(row) for row in flat.edge_children],
+               [[float(p).hex() for p in row]
+                for row in flat.edge_probabilities],
+               [float(p).hex() for p in flat.source_probabilities]]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+#: Fingerprints of the meeting graphs as the node-web implementation
+#: (``JointGraph.to_flat()``) produced them, before the product build
+#: moved onto the flat columns.
+PINNED_FINGERPRINTS = {
+    "pair": "b2177de8ed1852fb",
+    "abc": "ffd7613590512e92",
+    "cba": "adaa7fb545dd45e5",
+    "random0": "cdeda00894946b56",
+    "random1": "7808515a4c376e94",
+    "random2": "ea412dabc263e230",
+    "random3": "7e961728c2a8c799",
+    "random4": "89735da6a5045cb6",
+    "random5": "23d4ff4186c035ff",
+    "random6": "b05c2303448984da",
+    "random7": "72c11ba9b67702e5",
+    "random8": "ff96d7cbc75b26cd",
+    "random9": "b6f945b39e32b91a",
+    "random10": "c48069d509e6663b",
+    "random11": "31af65ff576dc0aa",
+}
+
+
+def _pinned_cases(pair_case):
+    """The fixture pair and triple, plus twelve seeded three-object groups
+    sharing per-step supports (several joint nodes per location once
+    folded)."""
+    import random
+
+    from repro.core.groups import condition_group
+
+    constraints, ls_a, ls_b, graph_a, graph_b = pair_case
+    ls_c = LSequence([{"A": 0.4, "B": 0.6}, {"B": 0.8, "C": 0.2},
+                      {"B": 0.5, "C": 0.5}])
+    graph_c = build_ct_graph(ls_c, constraints)
+    yield "pair", condition_on_meeting(graph_a, graph_b)
+    yield "abc", condition_group([graph_a, graph_b, graph_c])
+    yield "cba", condition_group([graph_c, graph_b, graph_a])
+    rng = random.Random(20261018)
+    for case in range(12):
+        duration = rng.randint(2, 7)
+        cons = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                cons.append(Unreachable(rng.choice("ABCD"),
+                                        rng.choice("ABCD")))
+            else:
+                cons.append(Latency(rng.choice("ABCD"), rng.randint(2, 3)))
+        cs = ConstraintSet(cons)
+        supports = [rng.sample("ABCD", rng.randint(2, 4))
+                    for _ in range(duration)]
+        graphs = []
+        for _ in range(3):
+            rows = []
+            for support in supports:
+                weights = [rng.uniform(0.1, 1.0) for _ in support]
+                total = sum(weights)
+                rows.append({l: w / total for l, w in zip(support, weights)})
+            try:
+                graphs.append(build_ct_graph(LSequence(rows), cs))
+            except InconsistentReadingsError:
+                pass
+        yield f"random{case}", condition_group(graphs)
+
+
+def test_meeting_output_is_pinned(pair_case):
+    got = {name: _fingerprint(joint)
+           for name, joint in _pinned_cases(pair_case)}
+    assert got == PINNED_FINGERPRINTS

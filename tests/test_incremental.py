@@ -15,6 +15,8 @@ from repro.core.constraints import (
 from repro.core.incremental import IncrementalCleaner, advance_frontier
 from repro.core.lsequence import LSequence
 from repro.errors import InconsistentReadingsError, ReadingSequenceError
+from repro.queries.stay import stay_query
+from tests.reference_builder import build_ct_graph_reference
 
 
 @pytest.fixture
@@ -166,7 +168,7 @@ class TestFilteredDistribution:
             cleaner.extend(row)
             prefix_graph = build_ct_graph(LSequence(rows[:tau + 1]),
                                           constraints)
-            expected = prefix_graph.location_marginal(tau)
+            expected = stay_query(prefix_graph, tau)
             got = cleaner.filtered_distribution()
             assert set(got) == set(expected)
             for location, probability in expected.items():
@@ -208,7 +210,8 @@ class TestFinalize:
 
 
 class TestFinalizeMaterialize:
-    """The corrected finalize() contract: all three materialize modes."""
+    """The finalize() contract: a flat graph, or the mapped view of the
+    file an output path names."""
 
     rows = ({"A": 0.5, "B": 0.5}, {"B": 0.6, "C": 0.4}, {"B": 1.0})
 
@@ -218,22 +221,16 @@ class TestFinalizeMaterialize:
             cleaner.extend(row)
         return cleaner
 
-    def test_nodes_mode_returns_ctgraph(self, constraints):
-        from repro.core.ctgraph import CTGraph
-
-        cleaner = self._fed(constraints, CleaningOptions(materialize="nodes"))
-        assert isinstance(cleaner.finalize(), CTGraph)
-
     def test_flat_mode_returns_flatgraph(self, constraints):
         from repro.core.flatgraph import FlatCTGraph
         from repro.queries.session import QuerySession
 
-        cleaner = self._fed(constraints, CleaningOptions(materialize="flat"))
+        cleaner = self._fed(constraints, CleaningOptions())
         graph = cleaner.finalize()
         assert isinstance(graph, FlatCTGraph)
         batch = build_ct_graph(LSequence(list(self.rows)), constraints)
         assert QuerySession(graph).location_marginal(2) == \
-            pytest.approx(batch.location_marginal(2))
+            pytest.approx(stay_query(batch, 2))
 
     def test_store_mode_returns_mapped_view(self, constraints, tmp_path):
         from repro.store.format import MappedCTGraph
@@ -280,13 +277,14 @@ class TestFinalizeMaterialize:
         assert isinstance(graph, MappedCTGraph)
         graph.close()
         # ...and the cleaner still finalizes in-memory afterwards.
-        from repro.core.ctgraph import CTGraph
-        assert isinstance(cleaner.finalize(), CTGraph)
+        from repro.core.flatgraph import FlatCTGraph
+        assert isinstance(cleaner.finalize(), FlatCTGraph)
 
     def test_explicit_output_rejects_non_store_materialize(self, constraints):
-        cleaner = self._fed(constraints, CleaningOptions(materialize="flat"))
-        with pytest.raises(ReadingSequenceError, match="materialize"):
-            cleaner.finalize(output="anywhere.ctg")
+        # Output alone selects the store write; no materialisation can
+        # contradict it because the option no longer exists.
+        with pytest.raises(TypeError, match="materialize"):
+            CleaningOptions(materialize="flat")
 
 
 class TestAdvanceFrontierStep:
@@ -405,6 +403,10 @@ def test_streaming_matches_batch(stream):
     if batch is None:
         return  # prefix stayed alive but the whole sequence is inconsistent
     streamed = cleaner.finalize()
+    # Bit for bit the oracle's graph: finalize runs the batch build on
+    # the accumulated rows.
+    assert streamed == build_ct_graph_reference(LSequence(rows),
+                                                constraints).to_flat()
     expected = dict(batch.paths())
     got = dict(streamed.paths())
     assert set(got) == set(expected)

@@ -15,7 +15,7 @@ from repro.core.constraints import (
 )
 from repro.core.lsequence import LSequence, ReadingSequence
 from repro.errors import CalibrationError, ReproError
-from repro.io.graphs import ctgraph_to_dict, ctgraph_to_dot, save_ctgraph
+from repro.io.graphs import ctgraph_to_dot, flatgraph_to_dict, save_ctgraph
 from repro.io.jsonio import (
     load_building,
     load_constraints,
@@ -150,27 +150,29 @@ class TestCtGraphExport:
         return build_ct_graph(ls, cs)
 
     def test_dict_is_self_consistent(self, graph):
-        payload = ctgraph_to_dict(graph)
+        payload = flatgraph_to_dict(graph)
         assert payload["duration"] == graph.duration
-        assert len(payload["nodes"]) == graph.num_nodes
-        assert len(payload["edges"]) == graph.num_edges
-        node_ids = {entry["id"] for entry in payload["nodes"]}
-        for edge in payload["edges"]:
-            assert edge["from"] in node_ids
-            assert edge["to"] in node_ids
-        assert sum(s["p"] for s in payload["sources"]) == pytest.approx(1.0)
+        assert sum(map(len, payload["locations"])) == graph.num_nodes
+        assert sum(map(len, payload["edge_children"])) == graph.num_edges
+        for tau, children in enumerate(payload["edge_children"]):
+            assert payload["edge_offsets"][tau][-1] == len(children)
+            for child in children:
+                assert 0 <= child < len(payload["locations"][tau + 1])
+        assert sum(payload["source_probabilities"]) == pytest.approx(1.0)
 
     def test_save_produces_valid_json(self, graph, tmp_path):
         path = tmp_path / "graph.json"
         save_ctgraph(graph, path)
         payload = json.loads(path.read_text())
-        assert payload["format"] == "rfid-ctg/ctgraph@1"
+        assert payload["format"] == "rfid-ctg/flatgraph@1"
 
     def test_dot_output(self, graph):
         dot = ctgraph_to_dot(graph)
         assert dot.startswith("digraph")
         assert dot.count("->") == graph.num_edges
+        assert dot.count("[label=\"t=") == graph.num_nodes
         assert "lightblue" in dot  # sources highlighted
+        assert "TL=" not in dot  # the flat graph carries no departures
 
     def test_dot_refuses_large_graphs(self, graph):
         with pytest.raises(ValueError):

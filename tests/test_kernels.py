@@ -43,8 +43,8 @@ LOCATIONS = ("A", "B", "C", "D")
 
 locations = st.sampled_from(LOCATIONS)
 
-FLAT_NUMPY = CleaningOptions(materialize="flat", backend="numpy")
-FLAT_PYTHON = CleaningOptions(materialize="flat", backend="python")
+FLAT_NUMPY = CleaningOptions(backend="numpy")
+FLAT_PYTHON = CleaningOptions(backend="python")
 
 
 @st.composite
@@ -186,7 +186,7 @@ class TestEngineParity:
     def test_flat_builds_bit_exact(self, lsequence, constraints):
         try:
             oracle = build_ct_graph_reference(lsequence, constraints,
-                                              FLAT_PYTHON)
+                                              FLAT_PYTHON).to_flat()
         except InconsistentReadingsError:
             with pytest.raises(InconsistentReadingsError):
                 build_ct_graph(lsequence, constraints, FLAT_NUMPY)
@@ -211,10 +211,9 @@ class TestEngineParity:
         lsequence = LSequence(rows)
         constraints = ConstraintSet([Unreachable(names[0], names[1])])
         oracle = build_ct_graph_reference(lsequence, constraints,
-                                          FLAT_PYTHON)
-        auto = build_ct_graph(
-            lsequence, constraints,
-            CleaningOptions(materialize="flat", backend="auto"))
+                                          FLAT_PYTHON).to_flat()
+        auto = build_ct_graph(lsequence, constraints,
+                              CleaningOptions(backend="auto"))
         assert auto == oracle
         assert auto.stats == oracle.stats
 

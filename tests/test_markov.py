@@ -11,6 +11,7 @@ from repro.core.constraints import ConstraintSet, Latency, Unreachable
 from repro.core.lsequence import LSequence
 from repro.errors import QueryError
 from repro.markov.stream import MarkovianStream
+from repro.queries.stay import stay_query
 
 
 @pytest.fixture
@@ -30,7 +31,7 @@ class TestExport:
 
     def test_initial_matches_graph_marginal(self, chain_case):
         graph, stream = chain_case
-        expected = graph.location_marginal(0)
+        expected = stay_query(graph, 0)
         assert set(stream.initial) == set(expected)
         for location, probability in expected.items():
             assert stream.initial[location] == pytest.approx(probability)
@@ -44,7 +45,7 @@ class TestExport:
     def test_marginals_match_graph(self, chain_case):
         graph, stream = chain_case
         for tau in range(graph.duration):
-            expected = graph.location_marginal(tau)
+            expected = stay_query(graph, tau)
             got = stream.marginal(tau)
             assert set(got) == set(expected)
             for location, probability in expected.items():

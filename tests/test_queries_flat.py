@@ -5,9 +5,8 @@ Every query on a cleaned graph has one production implementation, the
 to the ``CTNode``-walking DPs of ``tests/reference_queries.py`` —
 not approximately, *bitwise* — over every graph form a session serves:
 
-* ``CTGraph.to_flat()``,
-* a native flat build (``CleaningOptions(materialize="flat")``), for
-  both ``build_ct_graph`` and the reference builder oracle
+* ``build_ct_graph``'s ``FlatCTGraph``, which must equal the
+  ``to_flat()`` of the reference builder oracle's node graph
   (``tests/reference_builder.py``),
 * the mmap-served ``MappedCTGraph`` of a saved ``.ctg`` file.
 
@@ -29,7 +28,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.algorithm import CleaningOptions, build_ct_graph
+from repro.core.algorithm import build_ct_graph
 from repro.core.constraints import ConstraintSet, Latency, Unreachable
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.groups import condition_on_meeting
@@ -67,24 +66,16 @@ from tests.test_engine_vs_reference import (
 
 QUERY_LOCATIONS = LOCATIONS + ("Z",)  # "Z" never appears in any graph
 
-FLAT = CleaningOptions(materialize="flat")
-
-BUILDERS = (build_ct_graph_reference, build_ct_graph)
-
-
 def _build_all_forms(lsequence, constraints):
-    """The node graph plus its three flat forms, or None on zero mass."""
+    """The oracle node graph plus both flat forms (its ``to_flat()`` and
+    production's build), or None on zero mass."""
     try:
-        nodes = build_ct_graph(lsequence, constraints)
+        nodes = build_ct_graph_reference(lsequence, constraints)
     except InconsistentReadingsError as error:
-        for build in BUILDERS:
-            with pytest.raises(type(error)):
-                build(lsequence, constraints, FLAT)
+        with pytest.raises(type(error)):
+            build_ct_graph(lsequence, constraints)
         return None
-    flats = [nodes.to_flat()]
-    for build in BUILDERS:
-        flats.append(build(lsequence, constraints, FLAT))
-    return nodes, flats
+    return nodes, [nodes.to_flat(), build_ct_graph(lsequence, constraints)]
 
 
 def _assert_query_parity(nodes, graph):
@@ -123,8 +114,8 @@ def _assert_query_parity(nodes, graph):
 
 
 def _assert_parity_on_every_form(nodes, flats):
-    # All flat forms are one value: to_flat == native (both builders).
-    assert flats[0] == flats[1] == flats[2]
+    # Both flat forms are one value: the oracle's to_flat == production.
+    assert flats[0] == flats[1]
     for flat in flats:
         _assert_query_parity(nodes, flat)
     with tempfile.TemporaryDirectory() as directory:
@@ -160,19 +151,22 @@ def test_query_parity_on_tt_heavy_instances(lsequence, constraints):
 # ----------------------------------------------------------------------
 # deterministic tie-breaking
 # ----------------------------------------------------------------------
+TIED = LSequence([
+    {"B": 0.5, "C": 0.5},
+    {"A": 1.0},
+    {"B": 0.5, "D": 0.5},
+])
+
+
 def _tied_graph():
-    """Four equal-probability trajectories: (B|C) -> A -> (B|D)."""
-    lsequence = LSequence([
-        {"B": 0.5, "C": 0.5},
-        {"A": 1.0},
-        {"B": 0.5, "D": 0.5},
-    ])
-    return build_ct_graph(lsequence, ConstraintSet([]))
+    """Four equal-probability trajectories: (B|C) -> A -> (B|D), as the
+    oracle's node graph."""
+    return build_ct_graph_reference(TIED, ConstraintSet([]))
 
 
 def test_map_tie_break_is_lexicographic():
-    nodes = _tied_graph()
-    trajectory, probability = most_likely_trajectory(nodes)
+    graph = build_ct_graph(TIED, ConstraintSet([]))
+    trajectory, probability = most_likely_trajectory(graph)
     assert trajectory == ("B", "A", "B")
     assert probability == 0.25
 
@@ -200,8 +194,8 @@ def test_map_tie_break_prefers_earlier_divergence():
         {"A": 0.5, "B": 0.5},
         {"A": 0.5, "D": 0.5},
     ])
-    nodes = build_ct_graph(lsequence, ConstraintSet([]))
-    trajectory, _ = most_likely_trajectory(nodes)
+    nodes = build_ct_graph_reference(lsequence, ConstraintSet([]))
+    trajectory, _ = most_likely_trajectory(nodes.to_flat())
     assert trajectory == ("A", "A")
     session = QuerySession(nodes.to_flat())
     assert (session.most_likely_trajectory()
@@ -214,7 +208,7 @@ def test_map_tie_break_prefers_earlier_divergence():
 def test_top_k_exhausts_at_num_valid_trajectories():
     nodes = _tied_graph()
     assert nodes.num_valid_trajectories() == 4
-    for result in (top_k_trajectories(nodes, 100),
+    for result in (top_k_trajectories(nodes.to_flat(), 100),
                    oracle.top_k_trajectories(nodes, 100)):
         assert len(result) == 4
         assert sum(p for _, p in result) == pytest.approx(1.0)
@@ -223,7 +217,7 @@ def test_top_k_exhausts_at_num_valid_trajectories():
 def test_top_k_rejects_non_positive_k():
     nodes = _tied_graph()
     with pytest.raises(QueryError):
-        top_k_trajectories(nodes, 0)
+        top_k_trajectories(nodes.to_flat(), 0)
     with pytest.raises(QueryError):
         oracle.top_k_trajectories(nodes, 0)
 
@@ -250,8 +244,9 @@ def test_top_k_length_contract_on_random_instances(lsequence, constraints,
 # ----------------------------------------------------------------------
 def test_flat_graph_is_smaller_and_validates():
     lsequence = LSequence([{"A": 0.5, "B": 0.5} for _ in range(40)])
-    nodes = build_ct_graph(lsequence, ConstraintSet([Latency("B", 3)]))
-    flat = nodes.to_flat()
+    constraints = ConstraintSet([Latency("B", 3)])
+    nodes = build_ct_graph_reference(lsequence, constraints)
+    flat = build_ct_graph(lsequence, constraints)
     flat.validate()
     assert flat.estimate_size_bytes() < nodes.estimate_size_bytes()
     assert flat.num_nodes == nodes.num_nodes
@@ -272,8 +267,8 @@ def test_session_rejects_out_of_range_queries():
 def test_flat_equality_ignores_stats():
     lsequence = LSequence([{"A": 1.0}, {"A": 0.6, "B": 0.4}])
     constraints = ConstraintSet([Unreachable("A", "C")])
-    reference = build_ct_graph_reference(lsequence, constraints, FLAT)
-    built = build_ct_graph(lsequence, constraints, FLAT)
+    reference = build_ct_graph_reference(lsequence, constraints).to_flat()
+    built = build_ct_graph(lsequence, constraints)
     assert isinstance(reference, FlatCTGraph)
     assert isinstance(built, FlatCTGraph)
     assert reference == built  # stats differ (compare=False), values equal
@@ -310,36 +305,37 @@ def _answers(graph, other, lsequence):
 
 
 def test_every_query_accepts_every_graph_form(tmp_path):
-    """``CTGraph``, ``FlatCTGraph``, ``MappedCTGraph`` and ``QuerySession``
-    inputs give bit-identical answers, equal to the oracle's."""
-    lsequence = LSequence([{"B": 0.5, "C": 0.5}, {"A": 1.0},
-                           {"B": 0.5, "D": 0.5}])
+    """``FlatCTGraph``, ``MappedCTGraph`` and ``QuerySession`` inputs give
+    bit-identical answers, equal to the oracle's."""
     nodes = _tied_graph()
-    other = build_ct_graph(
-        LSequence([{"B": 0.3, "C": 0.7}, {"A": 0.6, "B": 0.4},
-                   {"D": 0.8, "B": 0.2}]),
-        ConstraintSet([Unreachable("C", "B")]))
-    save_ctg(nodes, tmp_path / "tied.ctg")
+    flat = build_ct_graph(TIED, ConstraintSet([]))
+    other_sequence = LSequence([{"B": 0.3, "C": 0.7}, {"A": 0.6, "B": 0.4},
+                                {"D": 0.8, "B": 0.2}])
+    other_constraints = ConstraintSet([Unreachable("C", "B")])
+    other = build_ct_graph(other_sequence, other_constraints)
+    other_nodes = build_ct_graph_reference(other_sequence, other_constraints)
+    save_ctg(flat, tmp_path / "tied.ctg")
     with load_ctg(tmp_path / "tied.ctg") as mapped:
-        forms = (nodes, nodes.to_flat(), mapped, QuerySession(nodes))
-        answers = [_answers(form, other, lsequence) for form in forms]
+        forms = (flat, mapped, QuerySession(flat))
+        answers = [_answers(form, other, TIED) for form in forms]
     for got in answers[1:]:
         assert got == answers[0]
 
     expected = [oracle.stay_query(nodes, tau) for tau in range(3)]
     assert answers[0][:3] == expected
-    assert (meeting_time_distribution(nodes, other)
-            == oracle.meeting_time_distribution(nodes, other))
-    assert (colocation_profile(nodes, other)
-            == oracle.colocation_profile(nodes, other))
+    assert (meeting_time_distribution(flat, other)
+            == oracle.meeting_time_distribution(nodes, other_nodes))
+    assert (colocation_profile(flat, other)
+            == oracle.colocation_profile(nodes, other_nodes))
     for statement in STATEMENTS:
-        assert (ql.execute(nodes, statement).value
+        assert (ql.execute(flat, statement).value
                 == oracle.execute_reference(nodes, statement))
 
 
 def test_joint_graphs_answer_through_sessions():
-    """A ``JointGraph`` converts through ``to_flat()`` like a ``CTGraph``:
-    QL statements, pattern probabilities and meetings all run on it."""
+    """A meeting graph is a ``FlatCTGraph`` like any cleaned graph: QL
+    statements, pattern probabilities and meetings all run on it, and
+    agree with enumerating its paths."""
     constraints = ConstraintSet([Unreachable("A", "C"), Latency("B", 2)])
     graph_a = build_ct_graph(
         LSequence([{"A": 0.5, "B": 0.5}, {"B": 0.7, "C": 0.3},
@@ -349,15 +345,21 @@ def test_joint_graphs_answer_through_sessions():
                    {"B": 0.9, "C": 0.1}]), constraints)
     joint = condition_on_meeting(graph_a, graph_b)
 
-    for tau in range(joint.duration):
-        assert (ql.execute(joint, f"STAY {tau}").value
-                == joint.location_marginal(tau))
-    for text in ("? B[1] ?", "? C[1]", "A[1] ?", "? B[2]"):
-        assert (TrajectoryQuery(text).probability(joint)
-                == oracle.match_probability(joint, text))
-        assert (ql.execute(joint, f"MATCH {text}").value
-                == TrajectoryQuery(text).probability(joint))
     paths = dict(joint.paths())
+    for tau in range(joint.duration):
+        marginal = ql.execute(joint, f"STAY {tau}").value
+        assert marginal == QuerySession(joint).location_marginal(tau)
+        expected: dict = {}
+        for trajectory, probability in paths.items():
+            expected[trajectory[tau]] = (expected.get(trajectory[tau], 0.0)
+                                         + probability)
+        assert marginal == pytest.approx(expected)
+    for text in ("? B[1] ?", "? C[1]", "A[1] ?", "? B[2]"):
+        query = TrajectoryQuery(text)
+        assert query.probability(joint) == pytest.approx(
+            sum(p for t, p in paths.items() if query.matches(t)))
+        assert (ql.execute(joint, f"MATCH {text}").value
+                == query.probability(joint))
     best = max(paths.values())
     trajectory, probability = ql.execute(joint, "BEST").value
     assert paths[trajectory] == pytest.approx(probability)

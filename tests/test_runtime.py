@@ -169,8 +169,7 @@ class TestSharedPlan:
             with_plan = build_ct_graph_reference(lsequence, CONSTRAINTS,
                                                  plan=plan)
             without = build_ct_graph(lsequence, CONSTRAINTS)
-            assert with_plan.__getstate__()["edges"] == \
-                without.__getstate__()["edges"]
+            assert with_plan.to_flat() == without
 
     def test_plan_gives_identical_graphs(self, workload):
         plan = SharedCleaningPlan(CONSTRAINTS)
@@ -290,9 +289,7 @@ class TestQueryPlan:
         for lsequence, outcome in zip(workload, result):
             assert outcome.ok
             assert outcome.graph is None  # dropped: only answers travel
-            session = QuerySession(build_ct_graph(
-                lsequence, CONSTRAINTS,
-                CleaningOptions(materialize="flat")))
+            session = QuerySession(build_ct_graph(lsequence, CONSTRAINTS))
             expected = [ql.execute(session, statement)
                         for statement in self.STATEMENTS]
             assert [q.value for q in outcome.queries] \

@@ -37,7 +37,6 @@ from repro.core.lsequence import LSequence
 from repro.errors import (
     GraphExportError,
     InconsistentReadingsError,
-    ReadingSequenceError,
     StoreChecksumError,
     StoreError,
     StoreFormatError,
@@ -63,8 +62,15 @@ except ImportError:  # pragma: no cover - the no-numpy CI leg
 LOCATIONS = ("A", "B", "C", "D")
 locations = st.sampled_from(LOCATIONS)
 
+def _reference(lsequence, constraints, options=CleaningOptions()):
+    """The oracle build in production's shape: its node graph's flat
+    form, or (with ``output=``) the mapped view it wrote."""
+    graph = build_ct_graph_reference(lsequence, constraints, options)
+    return graph if options.output is not None else graph.to_flat()
+
+
 #: Both Algorithm 1 builds, by the name the parametrised tests print.
-BUILDERS = {"reference": build_ct_graph_reference, "compact": build_ct_graph}
+BUILDERS = {"reference": _reference, "compact": build_ct_graph}
 BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 
@@ -137,7 +143,7 @@ class TestRoundTrip:
     def test_save_load_reproduces_flat_graph(self, tmp_path_factory,
                                              lsequence, constraints,
                                              engine, backend):
-        options = CleaningOptions(backend=backend, materialize="flat")
+        options = CleaningOptions(backend=backend)
         try:
             flat = BUILDERS[engine](lsequence, constraints, options)
         except InconsistentReadingsError:
@@ -157,7 +163,7 @@ class TestRoundTrip:
     def test_mmap_sessions_answer_identically(self, tmp_path_factory,
                                               lsequence, constraints,
                                               engine, backend):
-        options = CleaningOptions(backend=backend, materialize="flat")
+        options = CleaningOptions(backend=backend)
         try:
             flat = BUILDERS[engine](lsequence, constraints, options)
         except InconsistentReadingsError:
@@ -173,7 +179,7 @@ class TestRoundTrip:
         lsequence, constraints = small_instance()
         build = BUILDERS[engine]
         flat = build(lsequence, constraints,
-                     CleaningOptions(backend=backend, materialize="flat"))
+                     CleaningOptions(backend=backend))
         path = tmp_path / "direct.ctg"
         view = build(lsequence, constraints,
                      CleaningOptions(backend=backend, output=str(path)))
@@ -182,20 +188,67 @@ class TestRoundTrip:
         assert view.trajectory_probability(("B", "A", "B")) == \
             pytest.approx(flat_probability_of(flat, ("B", "A", "B")))
         view.close()
-        # The direct write and the save_ctg path produce identical bytes
-        # (modulo the stats timings, which is why stats travel too).
+        # The direct write and the save_ctg path produce identical bytes:
+        # the file stores the stats counters, never the timings.
         other = tmp_path / "saved.ctg"
         save_ctg(flat, other)
-        assert abs(path.stat().st_size - other.stat().st_size) <= 256
+        assert path.read_bytes() == other.read_bytes()
 
-    def test_ctgraph_save_ctg_converts(self, tmp_path):
+    def test_oracle_flat_form_saves_identically(self, tmp_path):
         lsequence, constraints = small_instance()
-        node = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="nodes"))
-        path = tmp_path / "node.ctg"
-        save_ctg(node, path)
-        with load_ctg(path) as view:
-            assert view.materialize() == node.to_flat()
+        node = build_ct_graph_reference(lsequence, constraints)
+        save_ctg(node.to_flat(), tmp_path / "oracle.ctg")
+        build_ct_graph(lsequence, constraints,
+                       CleaningOptions(output=str(tmp_path / "built.ctg"))
+                       ).close()
+        assert (tmp_path / "oracle.ctg").read_bytes() \
+            == (tmp_path / "built.ctg").read_bytes()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_identical_builds_write_identical_bytes(self, tmp_path, backend):
+        lsequence, constraints = small_instance()
+        paths = [tmp_path / "first.ctg", tmp_path / "second.ctg"]
+        views = [build_ct_graph(lsequence, constraints,
+                                CleaningOptions(backend=backend,
+                                                output=str(path)))
+                 for path in paths]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # The returned views keep the live timings the file leaves out...
+        for view in views:
+            assert view.stats.forward_seconds > 0.0
+            assert view.stats.backward_seconds > 0.0
+            view.close()
+        # ...while a cold load sees the counters only.
+        with load_ctg(paths[0]) as cold:
+            assert cold.stats == views[0].stats
+            assert cold.stats.forward_seconds == 0.0
+
+    def test_files_with_stored_timings_still_load(self, tmp_path):
+        # .ctg files written before the stats section dropped the
+        # wall-clock fields carry them in the JSON; they load unchanged.
+        from repro.core.algorithm import CleaningStats
+        from repro.store.format import write_ctg
+
+        lsequence, constraints = small_instance()
+        flat = build_ct_graph(lsequence, constraints)
+        # Every field takes part in equality here, so write_ctg stores
+        # the timings too, exactly as the older writer did.
+        OldStats = dataclasses.make_dataclass(
+            "OldStats", [field.name for field in
+                         dataclasses.fields(CleaningStats)])
+        old = OldStats(**{**dataclasses.asdict(flat.stats),
+                          "forward_seconds": 0.25})
+        write_ctg(tmp_path / "old.ctg", location_names=flat.location_names,
+                  locations=flat.locations, stays=flat.stays,
+                  edge_offsets=flat.edge_offsets,
+                  edge_children=flat.edge_children,
+                  edge_probabilities=flat.edge_probabilities,
+                  source_probabilities=flat.source_probabilities,
+                  stats=old)
+        with load_ctg(tmp_path / "old.ctg", verify=True) as view:
+            assert view.materialize() == flat
+            assert view.stats == flat.stats
+            assert view.stats.forward_seconds == 0.25
 
     def test_estimate_size_is_the_file_size(self, tmp_path):
         lsequence, constraints = small_instance()
@@ -222,7 +275,7 @@ class TestCorruption:
     def good(self, tmp_path):
         lsequence, constraints = small_instance()
         flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="flat"))
+                              CleaningOptions())
         path = tmp_path / "good.ctg"
         save_ctg(flat, path)
         return path
@@ -274,11 +327,13 @@ class TestCorruption:
         assert good.read_bytes()[:8] == CTG_MAGIC
 
     def test_store_materialize_requires_output(self):
-        with pytest.raises(ReadingSequenceError, match="output"):
+        # output= alone selects the store write; the old shape option is
+        # refused outright.
+        with pytest.raises(TypeError, match="materialize"):
             CleaningOptions(materialize="store")
 
     def test_output_rejects_node_materialize(self):
-        with pytest.raises(ReadingSequenceError, match="store"):
+        with pytest.raises(TypeError, match="materialize"):
             CleaningOptions(materialize="nodes", output="x.ctg")
 
 
@@ -289,7 +344,7 @@ class TestGraphStore:
     def test_put_load_contains(self, tmp_path):
         lsequence, constraints = small_instance()
         flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="flat"))
+                              CleaningOptions())
         store = GraphStore(tmp_path / "store")
         key = store.key_for(lsequence, constraints)
         store.put(flat, key)
@@ -345,14 +400,12 @@ class TestBatchStoreMode:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs the fork start method for the reduce monkeypatch")
     def test_no_graph_is_pickled(self, tmp_path, monkeypatch):
-        from repro.core.ctgraph import CTGraph
         from repro.runtime.batch import clean_many
 
         monkeypatch.setattr(FlatCTGraph, "__reduce__", _poison,
                             raising=False)
         monkeypatch.setattr(MappedCTGraph, "__reduce__", _poison,
                             raising=False)
-        monkeypatch.setattr(CTGraph, "__reduce__", _poison, raising=False)
         store = GraphStore(tmp_path / "store")
         constraints = ConstraintSet([Unreachable("A", "C")])
         result = clean_many(self._sequences(), constraints, workers=2,
@@ -376,7 +429,7 @@ class TestBatchStoreMode:
         assert all(o.ok and not o.cache_hit for o in result)
         assert store.misses == len(result)
         plain = clean_many(self._sequences(), constraints, workers=1,
-                           options=CleaningOptions(materialize="flat"))
+                           options=CleaningOptions())
         for stored, direct in zip(result, plain):
             assert stored.graph.materialize() == direct.graph
 
@@ -403,9 +456,6 @@ class TestBatchStoreMode:
         sequences = self._sequences()
         with pytest.raises(BatchConfigurationError, match="GraphStore"):
             clean_many(sequences, constraints, store="nope")
-        with pytest.raises(BatchConfigurationError, match="nodes"):
-            clean_many(sequences, constraints, store=store,
-                       options=CleaningOptions(materialize="nodes"))
         with pytest.raises(BatchConfigurationError, match="output"):
             clean_many(sequences, constraints, store=store,
                        options=CleaningOptions(output="x.ctg"))
@@ -422,7 +472,7 @@ class TestPurePythonLeg:
     def test_round_trip_without_numpy(self, tmp_path, monkeypatch):
         lsequence, constraints = small_instance()
         flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="flat"))
+                              CleaningOptions())
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         path = tmp_path / "g.ctg"
         save_ctg(flat, path)
@@ -436,7 +486,7 @@ class TestPurePythonLeg:
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         lsequence, constraints = small_instance()
         flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="flat"))
+                              CleaningOptions())
         path = tmp_path / "g.ctg"
         view = build_ct_graph(lsequence, constraints,
                               CleaningOptions(output=str(path)))
@@ -464,7 +514,7 @@ class TestSizeEstimates:
     def test_flat_estimate_within_2x_of_measured(self):
         rows = [{"A": 0.4, "B": 0.3, "C": 0.3} for _ in range(24)]
         flat = build_ct_graph(LSequence(rows), ConstraintSet(),
-                              CleaningOptions(materialize="flat"))
+                              CleaningOptions())
         estimate = flat.estimate_size_bytes()
         measured = self._measured_flat_bytes(flat)
         assert measured / 2 <= estimate <= measured * 2, \
@@ -475,7 +525,7 @@ class TestSizeEstimates:
 
         rows = [{"A": 0.4, "B": 0.3, "C": 0.3} for _ in range(24)]
         flat = build_ct_graph(LSequence(rows), ConstraintSet(),
-                              CleaningOptions(materialize="flat"))
+                              CleaningOptions())
         path = tmp_path / "g.ctg"
         save_ctg(flat, path)
         node_counts = [flat.level_size(tau) for tau in range(flat.duration)]
@@ -505,7 +555,7 @@ class TestFlatExport:
 
         lsequence, constraints = small_instance()
         flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="flat"))
+                              CleaningOptions())
         path = tmp_path / "g.ctg"
         view = build_ct_graph(lsequence, constraints,
                               CleaningOptions(output=str(path)))
@@ -518,15 +568,12 @@ class TestFlatExport:
         view.close()
 
     def test_wrong_form_raises_typed_error(self):
-        from repro.io import ctgraph_to_dict, flatgraph_to_dict, save_ctgraph
+        from repro.io import ctgraph_to_dot, flatgraph_to_dict, save_ctgraph
 
         lsequence, constraints = small_instance()
-        node = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="nodes"))
-        flat = node.to_flat()
-        with pytest.raises(GraphExportError):
-            ctgraph_to_dict(flat)
-        with pytest.raises(GraphExportError):
-            flatgraph_to_dict(node)
+        node = build_ct_graph_reference(lsequence, constraints)
+        for export in (flatgraph_to_dict, ctgraph_to_dot):
+            with pytest.raises(GraphExportError):
+                export(node)
         with pytest.raises(GraphExportError):
             save_ctgraph(object(), "nowhere.json")

@@ -26,6 +26,8 @@ from repro.store.format import (
     write_stream_checkpoint,
 )
 from repro.streaming import StreamingCleaner
+from repro.queries.stay import stay_query
+from tests.reference_builder import build_ct_graph_reference
 
 
 @pytest.fixture
@@ -170,14 +172,13 @@ class TestStreamingCleaner:
         window_graph = cleaner.finalize()
         full_graph = build_ct_graph(LSequence(rows), constraints)
         for relative in range(cleaner.retained_duration):
-            expected = full_graph.location_marginal(cleaner.base + relative)
-            got = window_graph.location_marginal(relative)
+            expected = stay_query(full_graph, cleaner.base + relative)
+            got = stay_query(window_graph, relative)
             assert set(got) == set(expected)
             for location, probability in expected.items():
                 assert got[location] == pytest.approx(probability)
 
     def test_window_finalize_materialize_modes(self, constraints, tmp_path):
-        from repro.core.ctgraph import CTGraph
         from repro.core.flatgraph import FlatCTGraph
         from repro.store.format import MappedCTGraph
 
@@ -193,18 +194,17 @@ class TestStreamingCleaner:
 
         from repro.queries.session import QuerySession
 
-        nodes_graph = fed(CleaningOptions()).finalize()
-        assert isinstance(nodes_graph, CTGraph)
-        flat = fed(CleaningOptions(materialize="flat")).finalize()
+        flat = fed(CleaningOptions()).finalize()
         assert isinstance(flat, FlatCTGraph)
+        flat.validate()
         out = tmp_path / "w.ctg"
         cleaner = fed(CleaningOptions(output=str(out)))
         mapped = cleaner.finalize()
         assert isinstance(mapped, MappedCTGraph)
+        assert mapped.materialize() == flat
+        assert mapped.stats == flat.stats
         assert QuerySession(mapped).location_marginal(1) == \
-            pytest.approx(nodes_graph.location_marginal(1))
-        assert QuerySession(flat).location_marginal(1) == \
-            pytest.approx(nodes_graph.location_marginal(1))
+            stay_query(flat, 1)
         mapped.close()
         with pytest.raises(ReadingSequenceError, match="already wrote"):
             cleaner.finalize()
@@ -247,13 +247,13 @@ class TestCheckpointResume:
         graph_a = uninterrupted.finalize()
         graph_b = resumed.finalize()
         for relative in range(uninterrupted.retained_duration):
-            assert graph_a.location_marginal(relative) == \
-                graph_b.location_marginal(relative)
+            assert stay_query(graph_a, relative) == \
+                stay_query(graph_b, relative)
 
     def test_checkpoint_restores_options_and_constraints(self, constraints,
                                                          tmp_path):
         options = CleaningOptions(truncated_stay_policy="strict",
-                                  materialize="flat")
+                                  backend="auto")
         cleaner = StreamingCleaner(constraints, window=5, options=options)
         cleaner.extend({"A": 1.0})
         path = tmp_path / "s.ckpt"
@@ -291,7 +291,7 @@ class TestCheckpointResume:
         options = read_stream_checkpoint(path).meta["options"]
         legacy = {"truncated_stay_policy": options["truncated_stay_policy"],
                   "precheck": options["precheck"], "engine": "auto",
-                  "materialize": options["materialize"],
+                  "materialize": "auto",
                   "backend": options["backend"], "output": options["output"]}
         _rewrite_options(path, legacy)
         resumed = StreamingCleaner.resume(path)
@@ -301,11 +301,46 @@ class TestCheckpointResume:
             resumed.extend(row)
         assert resumed.filtered_distribution() == \
             uninterrupted.filtered_distribution()
-        assert resumed.finalize().__getstate__() == \
-            uninterrupted.finalize().__getstate__()
+        assert resumed.finalize() == uninterrupted.finalize()
+
+    @pytest.mark.parametrize("materialize", ["auto", "nodes", "flat"])
+    def test_pre_removal_materialize_option_resumes_bit_identically(
+            self, constraints, tmp_path, materialize):
+        # Every checkpoint written while CleaningOptions had a
+        # ``materialize`` field stores it among its options (after
+        # ``precheck``, before ``backend``); such a file must resume and
+        # continue exactly, finalizing to the one flat graph.
+        rows = [{"A": 0.5, "B": 0.5}, {"B": 0.6, "D": 0.4},
+                {"B": 0.5, "D": 0.5}, {"A": 0.3, "B": 0.7},
+                {"B": 1.0}, {"B": 0.2, "C": 0.8}]
+        uninterrupted = StreamingCleaner(constraints, window=3)
+        killed = StreamingCleaner(constraints, window=3)
+        for row in rows[:4]:
+            uninterrupted.extend(row)
+            killed.extend(row)
+        path = tmp_path / "legacy.ckpt"
+        killed.checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        legacy = {"truncated_stay_policy": "lenient", "precheck": "off",
+                  "materialize": materialize, "backend": "python",
+                  "output": None}
+        write_stream_checkpoint(path, meta=dict(payload.meta,
+                                                options=legacy),
+                                location_names=payload.location_names,
+                                rows=payload.rows,
+                                frontiers=payload.frontiers)
+        resumed = StreamingCleaner.resume(path)
+        assert resumed.options == CleaningOptions()
+        assert resumed.base == uninterrupted.base
+        for row in rows[4:]:
+            uninterrupted.extend(row)
+            resumed.extend(row)
+        assert resumed.filtered_distribution() == \
+            uninterrupted.filtered_distribution()
+        assert resumed.finalize() == uninterrupted.finalize()
 
     @pytest.mark.parametrize("options", [{"backend": "gpu"},
-                                         {"materialize": "bogus"},
+                                         {"precheck": "sometimes"},
                                          {"turbo": True}])
     def test_invalid_options_are_a_format_error(self, constraints, tmp_path,
                                                 options):
@@ -473,8 +508,8 @@ def test_resume_equals_uninterrupted_run(stream, data):
         graph_a = uninterrupted.finalize()
         graph_b = resumed.finalize()
         for relative in range(uninterrupted.retained_duration):
-            assert graph_a.location_marginal(relative) == \
-                graph_b.location_marginal(relative)
+            assert stay_query(graph_a, relative) == \
+                stay_query(graph_b, relative)
     finally:
         os.unlink(path)
 
@@ -491,9 +526,14 @@ def test_window_finalize_matches_full_graph(stream):
     except InconsistentReadingsError:
         return
     window_graph = cleaner.finalize()
+    if cleaner.base == 0:
+        # Nothing evicted: finalize is the batch build, bit for bit the
+        # oracle's graph.
+        assert window_graph == build_ct_graph_reference(
+            LSequence(rows), constraints).to_flat()
     for relative in range(cleaner.retained_duration):
-        expected = full.location_marginal(cleaner.base + relative)
-        got = window_graph.location_marginal(relative)
+        expected = stay_query(full, cleaner.base + relative)
+        got = stay_query(window_graph, relative)
         assert set(got) == set(expected)
         for location, probability in expected.items():
             assert got[location] == pytest.approx(probability, abs=1e-9)
